@@ -16,7 +16,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scenario-dir", default="scenarios")
     ap.add_argument("--out-dir", default="results")
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--seed", type=int, default=None,
                     help="override every scenario's seed")
     args = ap.parse_args()
@@ -27,8 +26,6 @@ def main() -> int:
         return 2
     for path in files:
         argv = ["simulate", "--config", str(path), "--out-dir", args.out_dir]
-        if args.threads is not None:
-            argv += ["--threads", str(args.threads)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
         print(f"== {path.name}")

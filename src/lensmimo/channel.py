@@ -23,8 +23,10 @@ class UserConfig:
     sigma_deg: float = 5.0
 
     def __post_init__(self):
-        if self.sigma_deg <= 0:
-            raise ConfigError("angular spread must be positive")
+        if not np.isfinite(self.angle_deg):
+            raise ConfigError(f"user angle {self.angle_deg} deg is not finite")
+        if not (np.isfinite(self.sigma_deg) and self.sigma_deg > 0):
+            raise ConfigError("angular spread must be positive and finite")
 
 
 def laplacian_pas(offset: np.ndarray | float, sigma: float) -> np.ndarray:

@@ -137,7 +137,6 @@ class RunManifest:
     out_dir: str = "."
     cache_dir: str | None = None
     seed: int | None = None
-    threads: int = 1
     no_build: bool = False
     aod_deg: float = 0.0
     steps: int | None = None
@@ -147,8 +146,6 @@ class RunManifest:
             self.cache_dir = self.out_dir
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed override must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
 
 
 def _load(manifest: RunManifest, require_users: bool) -> ScenarioConfig:
@@ -254,7 +251,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
         profiles = _profiles_from_cache(cfg, manifest)
     else:
         profiles = linklevel.build_scenario_profiles(cfg)
-    result = linklevel.run_monte_carlo(cfg, profiles, threads=manifest.threads)
+    result = linklevel.run_monte_carlo(cfg, profiles)
 
     os.makedirs(manifest.out_dir, exist_ok=True)
     written = []
@@ -318,9 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory for caches (default: out-dir)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
-    common.add_argument("--threads", type=int,
-                        default=max(1, os.cpu_count() or 1),
-                        help="Monte-Carlo worker threads")
+    common.add_argument("--threads", type=int, default=1,
+                        help="has no effect; kept so existing command lines "
+                             "still parse (the Monte Carlo runs in one thread)")
     common.add_argument("--no-build", action="store_true",
                         help="fail instead of computing missing caches")
 
@@ -341,9 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("threads must be at least 1")
         manifest = RunManifest(
             config=args.config, out_dir=args.out_dir, cache_dir=args.cache_dir,
-            seed=args.seed, threads=args.threads, no_build=args.no_build,
+            seed=args.seed, no_build=args.no_build,
             aod_deg=getattr(args, "aod", 0.0), steps=getattr(args, "steps", None))
         return _COMMANDS[args.command][0](manifest)
     except ConfigError as exc:

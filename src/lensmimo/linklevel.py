@@ -8,7 +8,6 @@ fed-back unit-norm channel directions only.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,8 @@ import numpy as np
 from .channel import (UserConfig, apply_lens, correlation_matrix, draw_channel,
                       matrix_sqrt)
 from .errors import ConfigError, DomainError, LensMimoError
-from .feedback import (correlate_codebook, fit_gaussian_model, gaussian_profile,
-                       generate_mvcq, generate_rvq, quantize, sub_bpm_profile)
+from .feedback import (_normalize_columns, correlate_codebook, fit_gaussian_model,
+                       gaussian_profile, generate_rvq, sub_bpm_profile)
 from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
 
 COND_LIMIT = 1e12
@@ -183,15 +182,23 @@ def _normalize(f: np.ndarray) -> np.ndarray:
 
 
 def zf_precoder(h_hat: np.ndarray) -> Precoder:
-    """Zero-forcing columns F = pinv(H), so h_k^T f_j = delta_kj before scaling."""
+    """Zero-forcing columns F = pinv(H), so h_k^T f_j = delta_kj before scaling.
+
+    One SVD gives cond(H) and pinv(H), formed as np.linalg.pinv forms it;
+    below COND_LIMIT no singular value falls under pinv's 1e-15 cutoff.
+    """
     h_hat = np.atleast_2d(h_hat)
-    cond = np.linalg.cond(h_hat)
-    if cond > COND_LIMIT:
+    try:
+        u, s, vt = np.linalg.svd(h_hat.conj(), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"SVD of the channel matrix failed: {exc}") from exc
+    cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+    if not cond <= COND_LIMIT:
         i, j = _coherence_pair(h_hat)
         raise DomainError(
             f"channel matrix is ill-conditioned (cond={cond:.3g}); users "
             f"{i} and {j} have near-collinear directions")
-    f = np.linalg.pinv(h_hat)
+    f = vt.T @ ((1.0 / s)[:, None] * u.T)
     return Precoder(columns=f, normalized=_normalize(f))
 
 
@@ -272,40 +279,40 @@ class SimResult:
     rates: dict[tuple[str, str], np.ndarray]   # (num_snr, trials)
 
 
-def _trial_rates(cfg: ScenarioConfig, profiles: ScenarioProfiles,
-                 factors: list[np.ndarray], si: int, ti: int) -> dict:
-    """All (precoder, quantizer) sum rates for one Monte-Carlo cell.
+def _fill_cell(cfg: ScenarioConfig, factors: list[np.ndarray],
+               lens_roots: np.ndarray | None, roots: dict[str, np.ndarray],
+               kinds: list[tuple[str, str]], rates: dict, si: int, ti: int) -> None:
+    """Write every (precoder, quantizer) sum rate of one Monte-Carlo cell.
 
     The substream is keyed by (snr index, trial index) so results do not
     depend on execution order; channels are drawn before codebooks so every
-    quantizer sees the same realizations.
+    quantizer sees the same realizations. The correlated codebook S W is
+    formed once per user and shared by rvq_corr and every mvcq token.
     """
-    k = cfg.num_users
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
     h = np.stack([draw_channel(s, rng) for s in factors])
-    if profiles.channel is not None:
-        h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
-    else:
-        h_true = h
-    bases = [generate_rvq(cfg.num_antennas, cfg.bits, rng) for _ in range(k)]
+    if lens_roots is not None:
+        h = lens_roots * h
+    bases = [generate_rvq(cfg.num_antennas, cfg.bits, rng) for _ in factors]
+    correlated = None
 
     p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
-    out = {}
-    for token in cfg.quantizers:
-        kind, _, _ = parse_quantizer(token)
+    for token, kind in kinds:
         if kind == "full":
-            h_hat = h_true / np.linalg.norm(h_true, axis=1, keepdims=True)
+            h_hat = h / np.linalg.norm(h, axis=1, keepdims=True)
         else:
-            rows = []
-            for u in range(k):
-                cb = bases[u]
-                if kind in ("rvq_corr", "mvcq"):
-                    cb = correlate_codebook(cb, factors[u])
-                if kind == "mvcq":
-                    cb = generate_mvcq(cb, profiles.codebook[token][u],
-                                       user_angle_deg=cfg.users[u].angle_deg)
-                rows.append(quantize(h_true[u], cb).direction)
-            h_hat = np.stack(rows)
+            books = [b.vectors for b in bases]
+            if kind != "rvq":
+                if correlated is None:
+                    correlated = [correlate_codebook(b, s).vectors
+                                  for b, s in zip(bases, factors)]
+                books = correlated
+            if kind == "mvcq":
+                books = [_normalize_columns(r[:, None] * w)
+                         for r, w in zip(roots[token], books)]
+            # the codeword with the largest |h* c_j|; ties go to the lowest index
+            h_hat = np.stack([w[:, np.argmax(np.abs(hu.conj() @ w))]
+                              for hu, w in zip(h, books)])
         for prec in cfg.precoders:
             try:
                 p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
@@ -313,41 +320,33 @@ def _trial_rates(cfg: ScenarioConfig, profiles: ScenarioProfiles,
                 raise type(exc)(
                     f"{exc} (quantizer {token}, snr {cfg.snr_db[si]} dB, "
                     f"trial {ti})") from exc
-            sinrs = received_sinr(h_true, p.normalized, p_t)
-            out[(prec, token)] = sum_rate(sinrs)
-    return out
+            rates[(prec, token)][si, ti] = sum_rate(
+                received_sinr(h, p.normalized, p_t))
 
 
-def run_monte_carlo(cfg: ScenarioConfig, profiles: ScenarioProfiles | None = None,
-                    threads: int = 1) -> SimResult:
+def run_monte_carlo(cfg: ScenarioConfig,
+                    profiles: ScenarioProfiles | None = None) -> SimResult:
     """Ergodic sum rate over the SNR grid for every precoder/quantizer pair.
 
-    Deterministic for a given config seed: each (snr, trial) cell owns a
-    derived substream and writes into a preallocated slot, so the thread
-    count changes timing only, never results.
+    Deterministic for a given config seed: each (snr, trial) cell draws from
+    its own derived substream, so a cell's rates depend on the seed and its
+    indices only, not on the trial count or the order cells run in.
     """
     if profiles is None:
         profiles = build_scenario_profiles(cfg)
     factors = [matrix_sqrt(correlation_matrix(u, cfg.num_antennas, cfg.spacing))
                for u in cfg.users]
+    # apply_lens on all-ones rows checks each profile once and returns sqrt(a)
+    ones = np.ones((cfg.num_users, cfg.num_antennas))
+    lens_roots = None if profiles.channel is None else apply_lens(ones, profiles.channel)
+    roots = {t: apply_lens(ones, a) for t, a in profiles.codebook.items()}
+    kinds = [(t, parse_quantizer(t)[0]) for t in cfg.quantizers]
     combos = [(p, q) for p in cfg.precoders for q in cfg.quantizers]
     n_snr, n_tr = len(cfg.snr_db), cfg.trials
     rates = {c: np.empty((n_snr, n_tr)) for c in combos}
-
-    def run_cell(cell: tuple[int, int]) -> None:
-        si, ti = cell
-        out = _trial_rates(cfg, profiles, factors, si, ti)
-        for c in combos:
-            rates[c][si, ti] = out[c]
-
-    cells = [(si, ti) for si in range(n_snr) for ti in range(n_tr)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # list() drains the iterator so worker exceptions surface here
-            list(pool.map(run_cell, cells))
-    else:
-        for cell in cells:
-            run_cell(cell)
+    for si in range(n_snr):
+        for ti in range(n_tr):
+            _fill_cell(cfg, factors, lens_roots, roots, kinds, rates, si, ti)
 
     mean = {c: rates[c].mean(axis=1) for c in combos}
     if n_tr > 1:

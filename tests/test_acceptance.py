@@ -159,8 +159,8 @@ def test_four_user_codebook_ordering():
     bare_cfg = ScenarioConfig(users=users, name="fourbare", lens_enabled=False,
                               quantizers=("rvq",), precoders=("zf", "mrt"),
                               trials=1000, seed=77)
-    r_lens = run_monte_carlo(lens_cfg, threads=4)
-    r_bare = run_monte_carlo(bare_cfg, threads=4)
+    r_lens = run_monte_carlo(lens_cfg)
+    r_bare = run_monte_carlo(bare_cfg)
     elapsed = time.perf_counter() - t0
 
     failures = []
@@ -196,8 +196,8 @@ def test_adjacent_users_zf_and_two_bit_codebook():
     iso = ScenarioConfig(users=users, name="adj6", bits=6,
                          quantizers=("rvq",), precoders=("zf",),
                          snr_db=snr, trials=1000, seed=77)
-    r_shaped = run_monte_carlo(shaped, threads=4)
-    r_iso = run_monte_carlo(iso, threads=4)
+    r_shaped = run_monte_carlo(shaped)
+    r_iso = run_monte_carlo(iso)
     elapsed = time.perf_counter() - t0
 
     i10 = snr.index(10.0)
@@ -230,7 +230,7 @@ def test_profile_source_ordering_at_fifteen_db():
                                      "mvcq:sub_bpm:10", "rvq"),
                          precoders=("zf",), snr_db=(15.0,), trials=1000,
                          seed=77)
-    res = run_monte_carlo(cfg, threads=4)
+    res = run_monte_carlo(cfg)
     elapsed = time.perf_counter() - t0
 
     pairs = ((("zf", "mvcq"), ("zf", "mvcq:gaussian")),

@@ -99,6 +99,10 @@ def test_correlation_rejects_bad_args():
         correlation_matrix(UserConfig(0.0, 5.0), 4, spacing=0.0)
     with pytest.raises(ConfigError):
         UserConfig(0.0, -5.0)
+    for angle, sigma in ((np.nan, 5.0), (np.inf, 5.0), (0.0, np.inf),
+                         (0.0, np.nan)):
+        with pytest.raises(ConfigError):
+            UserConfig(angle, sigma)
 
 
 @settings(max_examples=25, deadline=None)

@@ -118,6 +118,24 @@ def test_exit_code_for_bad_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("users", ["angles = nan", "angles = 0\nsigma = inf"])
+def test_exit_code_for_non_finite_user(tmp_path, capsys, users):
+    p = tmp_path / "nonfinite.ini"
+    p.write_text(f"[users]\n{users}\n[simulation]\ntrials = 1\nsnr_db = 0\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(p), "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_exit_code_for_thread_count_below_one(ini_dir, tmp_path, capsys):
+    rc = main(["simulate", "--config", str(ini_dir / "small.ini"),
+               "--out-dir", str(tmp_path), "--threads", "0"])
+    assert rc == EXIT_CONFIG
+    assert "threads" in capsys.readouterr().err
+
+
 def test_exit_code_for_domain_failure(tmp_path, capsys):
     # the array sits closer to the lens than one axial step can reach
     p = tmp_path / "near.ini"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import beta
 
 from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec,
                       PropagationGrid, UserConfig, antenna_power_profile,
@@ -196,6 +197,21 @@ def test_quantize_matches_brute_force():
         res = quantize(h, cb)
         assert res.index == best
         assert np.array_equal(res.direction, cb.vectors[:, best])
+
+
+def test_rvq_quantization_error_oracle():
+    """Random vector quantization of i.i.d. CN(0, I) channels has mean error
+    E[1 - |h_hat^H c*|^2] = 2^B Beta(2^B, M/(M-1)) (Au-Yeung & Love 2007)."""
+    m, bits, draws = 64, 6, 4000
+    rng = np.random.default_rng(2007)
+    err = np.empty(draws)
+    for i in range(draws):
+        h = _batch_draw(rng, (m,))
+        c = quantize(h, generate_rvq(m, bits, rng)).direction
+        err[i] = 1.0 - abs(np.vdot(h / np.linalg.norm(h), c)) ** 2
+    expected = 2 ** bits * beta(2 ** bits, m / (m - 1))
+    se = err.std(ddof=1) / np.sqrt(draws)
+    assert abs(err.mean() - expected) <= 4.0 * se
 
 
 def test_quantize_perfect_codeword():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from lensmimo import (ConfigError, DomainError, ScenarioConfig, UserConfig,
-                      correlation_matrix, draw_channel, matrix_sqrt,
-                      mrt_precoder, parse_quantizer, received_sinr,
+                      apply_lens, correlate_codebook, correlation_matrix,
+                      draw_channel, generate_mvcq, generate_rvq, matrix_sqrt,
+                      mrt_precoder, parse_quantizer, quantize, received_sinr,
                       run_monte_carlo, sum_rate, zf_precoder)
 from lensmimo import linklevel
 from lensmimo.linklevel import (build_scenario_profiles, render_comparison,
@@ -45,6 +46,19 @@ def test_zf_single_user_matches_mrt_direction():
     g_mrt = mrt_precoder(h).normalized[:, 0]
     assert abs(abs(np.vdot(g_zf, g_mrt)) - np.linalg.norm(g_zf)
                * np.linalg.norm(g_mrt)) <= 1e-12
+
+
+def test_zf_columns_equal_numpy_pinv():
+    rng = np.random.default_rng(14)
+    for shape in ((1, 8), (4, 64), (5, 16)):
+        h = _draw(rng, shape)
+        assert np.array_equal(zf_precoder(h).columns, np.linalg.pinv(h))
+
+
+def test_zf_maps_svd_failure_to_domain_error():
+    h = np.full((2, 4), np.nan, dtype=complex)
+    with pytest.raises(DomainError):
+        zf_precoder(h)
 
 
 def test_zf_rejects_near_collinear_users():
@@ -212,12 +226,70 @@ def test_monte_carlo_is_seed_deterministic():
         assert np.array_equal(r1.rates[combo], r2.rates[combo])
 
 
-def test_monte_carlo_thread_count_invariant():
-    cfg = _small_cfg()
-    serial = run_monte_carlo(cfg, threads=1)
-    pooled = run_monte_carlo(cfg, threads=4)
-    for combo in serial.rates:
-        assert np.array_equal(serial.rates[combo], pooled.rates[combo])
+def test_monte_carlo_trial_prefix_is_stable():
+    """Each cell's substream is keyed by its (snr, trial) indices, so more
+    trials leave the earlier ones bit for bit unchanged."""
+    long = run_monte_carlo(_small_cfg(trials=12))
+    short = run_monte_carlo(_small_cfg(trials=5))
+    for combo in long.rates:
+        assert np.array_equal(long.rates[combo][:, :5], short.rates[combo])
+
+
+def _reference_cell_rates(cfg, profiles, factors, si, ti):
+    """One Monte-Carlo cell built user by user from the public functions."""
+    k = cfg.num_users
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
+    h = np.stack([draw_channel(s, rng) for s in factors])
+    if profiles.channel is not None:
+        h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
+    else:
+        h_true = h
+    bases = [generate_rvq(cfg.num_antennas, cfg.bits, rng) for _ in range(k)]
+
+    p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
+    out = {}
+    for token in cfg.quantizers:
+        kind, _, _ = parse_quantizer(token)
+        if kind == "full":
+            h_hat = h_true / np.linalg.norm(h_true, axis=1, keepdims=True)
+        else:
+            rows = []
+            for u in range(k):
+                cb = bases[u]
+                if kind in ("rvq_corr", "mvcq"):
+                    cb = correlate_codebook(cb, factors[u])
+                if kind == "mvcq":
+                    cb = generate_mvcq(cb, profiles.codebook[token][u],
+                                       user_angle_deg=cfg.users[u].angle_deg)
+                rows.append(quantize(h_true[u], cb).direction)
+            h_hat = np.stack(rows)
+        for prec in cfg.precoders:
+            p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
+            sinrs = received_sinr(h_true, p.normalized, p_t)
+            out[(prec, token)] = sum_rate(sinrs)
+    return out
+
+
+@pytest.mark.parametrize("lens_enabled", [True, False])
+def test_monte_carlo_matches_reference_cells(lens_enabled):
+    quantizers = ("full", "rvq", "rvq_corr")
+    if lens_enabled:
+        quantizers += ("mvcq", "mvcq:gaussian", "mvcq:sub_bpm:5")
+    cfg = _small_cfg(lens_enabled=lens_enabled, bits=3, quantizers=quantizers,
+                     trials=4)
+    profiles = build_scenario_profiles(cfg)
+    res = run_monte_carlo(cfg, profiles)
+    factors = [matrix_sqrt(correlation_matrix(u, cfg.num_antennas, cfg.spacing))
+               for u in cfg.users]
+    ref = {c: np.empty_like(r) for c, r in res.rates.items()}
+    for si in range(len(cfg.snr_db)):
+        for ti in range(cfg.trials):
+            for c, rate in _reference_cell_rates(cfg, profiles, factors,
+                                                 si, ti).items():
+                ref[c][si, ti] = rate
+    assert set(ref) == {(p, q) for p in ("zf", "mrt") for q in quantizers}
+    for c in ref:
+        assert np.array_equal(res.rates[c], ref[c]), c
 
 
 def test_monte_carlo_seed_changes_results():
