@@ -32,7 +32,7 @@ def main() -> None:
     print(f"{'f':>6} {'peak z':>8} {'gain/cell':>10} {'gain raw':>10}")
     for f in [float(t) for t in args.focal_lengths.split(",")]:
         lens = LensSpec(focal_length=f)
-        hist = propagate(lens_phase_profile(lens, grid, args.aod), args.steps)
+        hist = propagate(lens_phase_profile(lens, grid, args.aod), grid, args.steps)
         z, per_cell = find_focal_peak(hist, lens, array)
         _, raw = find_focal_peak(hist)
         print(f"{f:6g} {z:8g} {per_cell:10.4f} {raw:10.4f}")

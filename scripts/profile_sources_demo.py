@@ -2,17 +2,17 @@
 """Compare the power profile a codebook would use, source by source.
 
 For one departure angle, prints the RMS deviation of each cheaper profile
-source from the fine-step propagation result, plus where each profile peaks.
+source from the array-plane propagation result, plus where each profile peaks.
 """
 
 import argparse
 import warnings
+from functools import partial
 
 import numpy as np
 
 from lensmimo import (ArraySpec, LensSpec, PropagationGrid,
-                      antenna_power_profile, fit_gaussian_model,
-                      gaussian_profile, sub_bpm_profile)
+                      antenna_power_profile, fit_sector_model, gaussian_profile)
 
 
 def main() -> None:
@@ -23,19 +23,16 @@ def main() -> None:
     args = ap.parse_args()
 
     lens, grid, array = LensSpec(), PropagationGrid(), ArraySpec()
-    exact = antenna_power_profile(lens, grid, array, args.aod)
-
-    anchors = np.arange(-30.0, 30.0 + 1e-9, 5.0)
-    model = fit_gaussian_model(
-        {float(a): antenna_power_profile(lens, grid, array, float(a))
-         for a in anchors}, lens, array)
+    profile_at = partial(antenna_power_profile, lens, grid, array)
+    exact = profile_at(args.aod)
+    model = fit_sector_model(profile_at, lens, array)
 
     rows = [("gaussian fit", gaussian_profile(args.aod, model, array, lens))]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         for stride in [int(t) for t in args.strides.split(",")]:
             rows.append((f"sub-bpm x{stride}",
-                         sub_bpm_profile(lens, grid, array, stride, args.aod)))
+                         profile_at(args.aod, stride=stride)))
 
     print(f"aod = {args.aod} deg; exact profile peaks at antenna "
           f"{int(np.argmax(exact))} with value {exact.max():.3f}")

@@ -10,16 +10,14 @@ from .channel import (UserConfig, apply_lens, correlation_matrix, draw_channel,
 from .errors import ConfigError, DomainError, LensMimoError
 from .feedback import (Codebook, GaussianProfileModel, QuantizationResult,
                        approx_sinr, correlate_codebook, fit_gaussian_model,
-                       gaussian_profile, generate_mvcq, generate_rvq, quantize,
-                       sub_bpm_profile)
+                       gaussian_profile, generate_mvcq, generate_rvq, quantize)
 from .linklevel import (Precoder, ScenarioConfig, SimResult, build_scenario_profiles,
-                        mrt_precoder, parse_quantizer, received_sinr,
-                        run_monte_carlo, sum_rate, zf_precoder)
+                        fit_sector_model, mrt_precoder, parse_quantizer,
+                        received_sinr, run_monte_carlo, sum_rate, zf_precoder)
 from .profile_cache import ProfileTable, build_profile_table
-from .waveoptics import (ArraySpec, ComplexField, FieldHistory, LensSpec,
-                         PropagationGrid, antenna_power_profile, bpm_step,
-                         extract_power_profile, find_focal_peak, fresnel_transfer,
-                         hyperbolic_contour, intensity, lens_phase_profile,
-                         lens_thickness, propagate)
+from .waveoptics import (ArraySpec, FieldHistory, LensSpec, PropagationGrid,
+                         antenna_power_profile, extract_power_profile,
+                         find_focal_peak, fresnel_transfer, hyperbolic_contour,
+                         lens_phase_profile, lens_thickness, propagate)
 
 __version__ = "0.1.0"

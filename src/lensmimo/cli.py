@@ -13,10 +13,11 @@ import configparser
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from . import feedback, linklevel, profile_cache, waveoptics
+from . import linklevel, profile_cache, waveoptics
 from .channel import UserConfig
 from .errors import ConfigError, DomainError
 from .linklevel import ScenarioConfig
@@ -180,7 +181,7 @@ def cmd_bpm_field(manifest: RunManifest) -> int:
     if steps is None:
         steps = int(np.ceil(1.5 * lens.focal_length / grid.dz))
     u0 = waveoptics.lens_phase_profile(lens, grid, manifest.aod_deg)
-    hist = waveoptics.propagate(u0, steps)
+    hist = waveoptics.propagate(u0, grid, steps)
     z_peak, gain = waveoptics.find_focal_peak(hist, lens, array)
 
     inten = np.abs(hist.fields) ** 2 / np.abs(hist.fields[0]).max() ** 2
@@ -207,50 +208,30 @@ def cmd_bpm_field(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _profiles_from_cache(cfg: ScenarioConfig, manifest: RunManifest
-                         ) -> linklevel.ScenarioProfiles:
-    """Serve scenario profiles from the swept table instead of running BPM."""
+def _cached_table(cfg: ScenarioConfig, manifest: RunManifest
+                  ) -> profile_cache.ProfileTable:
+    """The swept table --no-build serves the scenario's profiles from."""
+    for token in cfg.quantizers:
+        if linklevel.parse_quantizer(token)[1] == "sub_bpm":
+            raise ConfigError(
+                f"quantizer '{token}' needs a fresh coarse-step run and cannot "
+                "be served from the cache; drop --no-build")
     params = profile_cache.cache_params(cfg.lens, cfg.grid, cfg.array)
     path = _cache_path(manifest, params)
     if not os.path.exists(path):
         raise ConfigError(
             f"--no-build is set but the profile cache {path} is missing; "
             "run the lens-profile subcommand first")
-    table = profile_cache.read_profile_table(path, expected_params=params)
-    exact = np.stack([table.lookup(u.angle_deg) for u in cfg.users])
-    codebook: dict[str, np.ndarray] = {}
-    model = None
-    for token in cfg.quantizers:
-        kind, source, _ = linklevel.parse_quantizer(token)
-        if kind != "mvcq" or token in codebook:
-            continue
-        if source == "bpm":
-            codebook[token] = exact
-        elif source == "gaussian":
-            if model is None:
-                anchors = np.arange(-linklevel.SECTOR_DEG,
-                                    linklevel.SECTOR_DEG + 1e-9, 5.0)
-                anchor_profiles = {float(a): table.lookup(float(a))
-                                   for a in anchors}
-                model = feedback.fit_gaussian_model(anchor_profiles, cfg.lens,
-                                                    cfg.array)
-            codebook[token] = np.stack([
-                feedback.gaussian_profile(u.angle_deg, model, cfg.array, cfg.lens)
-                for u in cfg.users])
-        else:
-            raise ConfigError(
-                f"quantizer '{token}' needs a fresh coarse-step run and cannot "
-                "be served from the cache; drop --no-build")
-    return linklevel.ScenarioProfiles(channel=exact, codebook=codebook)
+    return profile_cache.read_profile_table(path, expected_params=params)
 
 
 def cmd_simulate(manifest: RunManifest) -> int:
     """Run the Monte Carlo and write one CSV per precoder/quantizer pair."""
     cfg = _load(manifest, require_users=True)
+    profile_at = None
     if cfg.lens_enabled and manifest.no_build:
-        profiles = _profiles_from_cache(cfg, manifest)
-    else:
-        profiles = linklevel.build_scenario_profiles(cfg)
+        profile_at = _cached_table(cfg, manifest).lookup
+    profiles = linklevel.build_scenario_profiles(cfg, profile_at)
     result = linklevel.run_monte_carlo(cfg, profiles)
 
     os.makedirs(manifest.out_dir, exist_ok=True)
@@ -275,11 +256,8 @@ def cmd_fit_gaussian(manifest: RunManifest) -> int:
     """Fit the spot model at the anchor angles and write the parameter table."""
     cfg = _load(manifest, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
-    anchors = np.arange(-linklevel.SECTOR_DEG, linklevel.SECTOR_DEG + 1e-9, 5.0)
-    profiles = {float(a): waveoptics.antenna_power_profile(lens, grid, array,
-                                                           float(a))
-                for a in anchors}
-    model = feedback.fit_gaussian_model(profiles, lens, array)
+    model = linklevel.fit_sector_model(
+        partial(waveoptics.antenna_power_profile, lens, grid, array), lens, array)
 
     os.makedirs(manifest.out_dir, exist_ok=True)
     digest = profile_cache.params_digest(model.params)

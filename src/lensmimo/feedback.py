@@ -3,13 +3,12 @@
 Baseline random vector quantization (isotropic codewords), its correlated
 variant (codewords shaped by the channel's own correlation square root), and
 the per-antenna-variance codebook that additionally carries the lens power
-profile. Also the two cheap profile estimators: a fitted Gaussian model of
-the focused spot and a coarse-axial-step propagation run.
+profile. Also the cheap profile estimator: a Gaussian model of the focused
+spot, fitted to propagated profiles and interpolated across angle.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import curve_fit
 
 from .errors import ConfigError, DomainError
-from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
+from .waveoptics import ArraySpec, LensSpec
 
 KIND_RVQ = "rvq"
 KIND_RVQ_CORRELATED = "rvq_correlated"
@@ -227,16 +226,6 @@ def gaussian_profile(theta_deg: float, model: GaussianProfileModel,
     return a * (m / total)
 
 
-def sub_bpm_profile(lens: LensSpec, grid: PropagationGrid, array: ArraySpec,
-                    stride: int, aod_deg: float) -> np.ndarray:
-    """Power profile from propagation with axial step stride*dz.
-
-    Cuts the step count by the stride at the cost of extraction accuracy
-    when the coarse step does not land exactly on the array plane.
-    """
-    return antenna_power_profile(lens, grid, array, aod_deg, stride=stride)
-
-
 def approx_sinr(psi: np.ndarray, h: np.ndarray, f: np.ndarray, p_t: float) -> np.ndarray:
     """Power-correlation-weighted SINR estimate.
 
@@ -258,33 +247,3 @@ def approx_sinr(psi: np.ndarray, h: np.ndarray, f: np.ndarray, p_t: float) -> np
     sig = scale * np.diag(psi) * np.diag(t2)
     interf = scale * (np.sum(psi * t2, axis=1) - np.diag(psi * t2))
     return sig / (interf + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Codebook cache
-
-
-def codebook_key(m: int, bits: int, seed: int, kind: str,
-                 user_angle_deg: float | None, profile_source: str) -> str:
-    canon = f"M={m},B={bits},seed={seed},kind={kind}," \
-            f"angle={user_angle_deg!r},source={profile_source}"
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def save_codebook(path, codebook: Codebook, key: str) -> None:
-    np.savez(path, vectors=codebook.vectors, bits=codebook.bits,
-             kind=codebook.kind,
-             user_angle=np.nan if codebook.user_angle_deg is None
-             else codebook.user_angle_deg,
-             key=key)
-
-
-def load_codebook(path, expected_key: str) -> Codebook:
-    with np.load(path) as data:
-        if str(data["key"]) != expected_key:
-            raise ConfigError(
-                f"codebook cache {path} was built for different parameters")
-        angle = float(data["user_angle"])
-        return Codebook(vectors=data["vectors"], bits=int(data["bits"]),
-                        kind=str(data["kind"]),
-                        user_angle_deg=None if np.isnan(angle) else angle)

@@ -9,18 +9,22 @@ fed-back unit-norm channel directions only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .channel import (UserConfig, apply_lens, correlation_matrix, draw_channel,
                       matrix_sqrt)
 from .errors import ConfigError, DomainError, LensMimoError
-from .feedback import (_normalize_columns, correlate_codebook, fit_gaussian_model,
-                       gaussian_profile, generate_rvq, sub_bpm_profile)
+from .feedback import (GaussianProfileModel, _normalize_columns, correlate_codebook,
+                       fit_gaussian_model, gaussian_profile, generate_rvq)
 from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
 
 COND_LIMIT = 1e12
 SECTOR_DEG = 30.0
+# angles the Gaussian spot model is fitted at: five-degree steps across the sector
+GAUSSIAN_ANCHORS_DEG = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 5.0)
 
 PRECODER_TOKENS = ("zf", "mrt")
 QUANTIZER_KINDS = ("full", "rvq", "rvq_corr", "mvcq")
@@ -103,6 +107,12 @@ class ScenarioConfig:
             raise ConfigError("bits must be between 1 and 16")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        for name in ("spacing", "focal_length", "aperture", "epsilon_r",
+                     "lens_distance", "grid_dx", "grid_dz", "window"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} {getattr(self, name)} is not finite")
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ConfigError("snr_db values must be finite")
         for u in self.users:
             if abs(u.angle_deg) > SECTOR_DEG:
                 raise ConfigError(
@@ -236,13 +246,29 @@ class ScenarioProfiles:
     codebook: dict[str, np.ndarray]            # quantizer token -> (K, M)
 
 
-def build_scenario_profiles(cfg: ScenarioConfig) -> ScenarioProfiles:
-    """Assemble exact channel-side profiles plus each quantizer's codebook source."""
+def fit_sector_model(profile_at: Callable[[float], np.ndarray], lens: LensSpec,
+                     array: ArraySpec) -> GaussianProfileModel:
+    """Fit the Gaussian spot model to profile_at(angle) at the sector anchors."""
+    return fit_gaussian_model({float(a): profile_at(float(a))
+                               for a in GAUSSIAN_ANCHORS_DEG}, lens, array)
+
+
+def build_scenario_profiles(cfg: ScenarioConfig,
+                            profile_at: Callable[[float], np.ndarray] | None = None
+                            ) -> ScenarioProfiles:
+    """Assemble exact channel-side profiles plus each quantizer's codebook source.
+
+    profile_at maps a departure angle in degrees to a power profile; it
+    defaults to propagation and may serve a swept table instead. Coarse-step
+    (sub_bpm) codebooks are always propagated.
+    """
     if not cfg.lens_enabled:
         return ScenarioProfiles(channel=None, codebook={})
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
-    exact = np.stack([antenna_power_profile(lens, grid, array, u.angle_deg)
-                      for u in cfg.users])
+    propagated = partial(antenna_power_profile, lens, grid, array)
+    if profile_at is None:
+        profile_at = propagated
+    exact = np.stack([profile_at(u.angle_deg) for u in cfg.users])
     codebook: dict[str, np.ndarray] = {}
     model = None
     for token in cfg.quantizers:
@@ -253,18 +279,13 @@ def build_scenario_profiles(cfg: ScenarioConfig) -> ScenarioProfiles:
             codebook[token] = exact
         elif source == "gaussian":
             if model is None:
-                anchors = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 5.0)
-                anchor_profiles = {
-                    float(a): antenna_power_profile(lens, grid, array, float(a))
-                    for a in anchors}
-                model = fit_gaussian_model(anchor_profiles, lens, array)
+                model = fit_sector_model(profile_at, lens, array)
             codebook[token] = np.stack([
                 gaussian_profile(u.angle_deg, model, array, lens)
                 for u in cfg.users])
         else:
-            codebook[token] = np.stack([
-                sub_bpm_profile(lens, grid, array, stride, u.angle_deg)
-                for u in cfg.users])
+            codebook[token] = np.stack([propagated(u.angle_deg, stride=stride)
+                                        for u in cfg.users])
     return ScenarioProfiles(channel=exact, codebook=codebook)
 
 

@@ -68,7 +68,7 @@ class ProfileTable:
 
 def build_profile_table(lens: LensSpec, grid: PropagationGrid, array: ArraySpec,
                         aods_deg: np.ndarray | None = None) -> ProfileTable:
-    """Run the BPM sweep over departure angles (default -30..30 deg, 0.5 deg)."""
+    """Propagate every departure angle (default -30..30 deg, 0.5 deg) to the array."""
     if aods_deg is None:
         lo, hi, step = DEFAULT_SWEEP_DEG
         n = int(round((hi - lo) / step)) + 1
@@ -100,22 +100,28 @@ def read_profile_table(path, expected_params: dict | None = None) -> ProfileTabl
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
+            if not line or line.startswith("aod_deg"):
                 continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                key = key.strip()
-                val = val.strip()
-                if key == "hash":
-                    stored_hash = val
+            try:
+                if line.startswith("#"):
+                    key, _, val = line[1:].partition("=")
+                    key = key.strip()
+                    val = val.strip()
+                    if key == "hash":
+                        stored_hash = val
+                    else:
+                        params[key] = float(val)
                 else:
-                    params[key] = float(val)
-                continue
-            if line.startswith("aod_deg"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
+                    rows.append([float(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"profile cache {path} has an unparsable line ({exc}); "
+                    "rebuild the cache") from exc
     if not rows:
         raise ConfigError(f"profile cache {path} holds no rows")
+    if len({len(r) for r in rows}) > 1:
+        raise ConfigError(
+            f"profile cache {path} has rows of unequal length; rebuild the cache")
     if stored_hash != params_digest(params):
         raise ConfigError(
             f"profile cache {path} header hash does not match its parameters; "
@@ -127,4 +133,7 @@ def read_profile_table(path, expected_params: dict | None = None) -> ProfileTabl
                 f"profile cache {path} was built for different parameters; "
                 "rebuild the cache")
     data = np.asarray(rows)
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(
+            f"profile cache {path} holds non-finite values; rebuild the cache")
     return ProfileTable(aods_deg=data[:, 0], profiles=data[:, 1:], params=params)

@@ -1,9 +1,10 @@
 """Scalar wave propagation through a dielectric lens onto a linear array.
 
 One transverse dimension, Fresnel (paraxial) regime. The lens acts as a thin
-quadratic phase screen behind a hard aperture stop; the field then marches
-along z with a split-step FFT update and the per-antenna power profile is
-read off at the array plane.
+quadratic phase screen behind a hard aperture stop. The medium behind it is
+uniform, so the field at any plane z is one exact Fresnel transfer from the
+lens (FFT, multiply, inverse FFT) and the per-antenna power profile is read
+off at the array plane.
 
 All lengths are in carrier wavelengths, angles in degrees at the public API
 and radians internally.
@@ -12,11 +13,15 @@ and radians internally.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
+
+
+def _positive(value: float) -> bool:
+    return bool(np.isfinite(value) and value > 0)
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,8 @@ class PropagationGrid:
 
     def __post_init__(self):
         for name in ("dx", "dz", "window", "wavelength"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"grid parameter {name} must be positive")
+            if not _positive(getattr(self, name)):
+                raise ConfigError(f"grid parameter {name} must be positive and finite")
         ratio = self.window / self.dx
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError(
@@ -71,11 +76,12 @@ class LensSpec:
     epsilon_r: float = 2.4
 
     def __post_init__(self):
-        if self.focal_length <= 0 or self.aperture <= 0:
-            raise ConfigError("lens focal length and aperture must be positive")
-        if self.epsilon_r <= 1.0:
+        if not (_positive(self.focal_length) and _positive(self.aperture)):
             raise ConfigError(
-                "relative permittivity must exceed 1 for a converging contour")
+                "lens focal length and aperture must be positive and finite")
+        if not _positive(self.epsilon_r - 1.0):
+            raise ConfigError("relative permittivity must be finite and exceed 1 "
+                              "for a converging contour")
 
     @property
     def refractive_index(self) -> float:
@@ -93,35 +99,18 @@ class ArraySpec:
     def __post_init__(self):
         if self.num_antennas < 1:
             raise ConfigError("array needs at least one antenna")
-        if self.spacing <= 0 or self.lens_distance <= 0:
-            raise ConfigError("array spacing and lens distance must be positive")
-
-
-@dataclass
-class ComplexField:
-    """Transverse field slice at one axial position.
-
-    power is the conserved total intensity target; drift records the
-    relative power error of the step that produced this slice, before
-    renormalization.
-    """
-
-    samples: np.ndarray
-    z: float
-    grid: PropagationGrid
-    power: float
-    drift: float = 0.0
+        if not (_positive(self.spacing) and _positive(self.lens_distance)):
+            raise ConfigError(
+                "array spacing and lens distance must be positive and finite")
 
 
 @dataclass
 class FieldHistory:
-    """Stack of field slices from z=0 to the final plane, row per plane."""
+    """Field slices at the planes zs behind the lens, row per plane."""
 
     fields: np.ndarray          # (steps+1, num_samples) complex
     zs: np.ndarray              # (steps+1,)
     grid: PropagationGrid
-    power: float
-    drift: np.ndarray           # (steps,) pre-renormalization drift per step
 
 
 def lens_thickness(lens: LensSpec) -> float:
@@ -155,13 +144,15 @@ def hyperbolic_contour(lens: LensSpec, x1) -> np.ndarray:
 
 
 def lens_phase_profile(lens: LensSpec, grid: PropagationGrid,
-                       aod_deg: float = 0.0) -> ComplexField:
-    """Field immediately behind the lens for a plane wave at angle aod_deg.
+                       aod_deg: float = 0.0) -> np.ndarray:
+    """Field samples immediately behind the lens for a plane wave at aod_deg.
 
     Thin-element model: quadratic converging phase -kappa x^2/(2f) plus the
     incident tilt, hard-truncated at the aperture stop. The constant bulk
     phase of the dielectric is dropped (it cancels in every intensity).
     """
+    if not np.isfinite(aod_deg):
+        raise ConfigError(f"departure angle {aod_deg} deg is not finite")
     if grid.window < 2.0 * lens.aperture:
         raise ConfigError(
             f"window {grid.window} must be at least twice the aperture "
@@ -172,85 +163,56 @@ def lens_phase_profile(lens: LensSpec, grid: PropagationGrid,
     u = np.exp(-1j * kappa * x * x / (2.0 * lens.focal_length)
                - 1j * kappa * x * np.sin(aod))
     u[np.abs(x) > lens.aperture / 2.0] = 0.0
-    power = float(np.sum(np.abs(u) ** 2))
-    return ComplexField(samples=u, z=0.0, grid=grid, power=power)
+    return u
 
 
-def fresnel_transfer(grid: PropagationGrid, dz: float | None = None) -> np.ndarray:
-    """Fourier-domain one-step propagator exp(j kappa dz - j pi lam dz fx^2).
+def fresnel_transfer(grid: PropagationGrid,
+                     dz: float | np.ndarray | None = None) -> np.ndarray:
+    """Fourier-domain propagator exp(j kappa dz - j pi lam dz fx^2).
 
-    This is the exact transfer function of the Fresnel convolution kernel;
-    its modulus is 1, so propagation is unitary up to FFT roundoff.
+    This is the exact transfer function of the Fresnel convolution kernel:
+    its modulus is 1 and transfers compose, H(z1) H(z2) = H(z1 + z2). dz may
+    be an array of distances (a column gives one transfer row per distance).
     """
     if dz is None:
         dz = grid.dz
-    if dz <= 0:
-        raise ConfigError("axial step must be positive")
+    dz = np.asarray(dz, dtype=float)
+    if not np.all(dz > 0):
+        raise ConfigError("propagation distance must be positive")
     fx = grid.fx()
     lam = grid.wavelength
     return np.exp(1j * grid.kappa * dz) * np.exp(-1j * np.pi * lam * dz * fx * fx)
 
 
-def bpm_step(fld: ComplexField, transfer: np.ndarray | None = None,
-             dz: float | None = None) -> ComplexField:
-    """Advance the field one axial step and renormalize to the power target."""
-    if dz is None:
-        dz = fld.grid.dz
-    if transfer is None:
-        transfer = fresnel_transfer(fld.grid, dz)
-    u = np.fft.ifft(np.fft.fft(fld.samples) * transfer)
-    total = float(np.sum(np.abs(u) ** 2))
-    if total <= 0.0:
-        raise DomainError("field vanished during propagation")
-    drift = abs(total - fld.power) / fld.power
-    u *= np.sqrt(fld.power / total)
-    return ComplexField(samples=u, z=fld.z + dz, grid=fld.grid,
-                        power=fld.power, drift=drift)
+def propagate(u0: np.ndarray, grid: PropagationGrid, steps: int,
+              dz: float | None = None) -> FieldHistory:
+    """Fields at the planes z = dz*i, i = 0..steps, behind the lens.
 
-
-def propagate(fld: ComplexField, steps: int, dz: float | None = None) -> FieldHistory:
-    """March the field over `steps` axial steps, keeping every plane.
-
-    The outer tenth of the window is checked for accumulated power at the
-    final plane; energy there means the periodic FFT boundary is starting to
-    wrap the beam back in.
+    Each plane is one transfer from z = 0, so no error accumulates along z.
+    The outer tenth of the window is checked for power at the final plane;
+    energy there means the periodic FFT boundary is starting to wrap the
+    beam back in.
     """
     if steps < 1:
         raise ConfigError("propagate needs at least one step")
-    grid = fld.grid
     if dz is None:
         dz = grid.dz
-    ns = grid.num_samples
-    transfer = fresnel_transfer(grid, dz)
-    fields = np.empty((steps + 1, ns), dtype=complex)
-    drift = np.empty(steps)
-    fields[0] = fld.samples
-    cur = fld
-    for i in range(steps):
-        cur = bpm_step(cur, transfer=transfer, dz=dz)
-        fields[i + 1] = cur.samples
-        drift[i] = cur.drift
-    zs = fld.z + dz * np.arange(steps + 1)
+    zs = dz * np.arange(steps + 1)
+    fields = np.empty((steps + 1, grid.num_samples), dtype=complex)
+    fields[0] = u0
+    fields[1:] = np.fft.ifft(np.fft.fft(u0) * fresnel_transfer(grid, zs[1:, None]),
+                             axis=1)
 
     # aperture-diffraction side lobes alone leave ~0.1% out there, so the
     # wraparound alarm only trips an order of magnitude above that
-    edge = max(1, ns // 20)
+    edge = max(1, grid.num_samples // 20)
     tail = np.sum(np.abs(fields[-1, :edge]) ** 2) + np.sum(np.abs(fields[-1, -edge:]) ** 2)
-    if tail > 1e-2 * fld.power:
+    if tail > 1e-2 * np.sum(np.abs(u0) ** 2):
         warnings.warn(
             "more than 1% of the power sits in the outer tenth of the window; "
             "increase the window to avoid wraparound", stacklevel=2)
 
-    return FieldHistory(fields=fields, zs=zs, grid=grid, power=fld.power, drift=drift)
-
-
-def intensity(fld: ComplexField, target_sum: float) -> np.ndarray:
-    """Power density |u|^2 rescaled so the window total equals target_sum."""
-    p = np.abs(fld.samples) ** 2
-    total = p.sum()
-    if total <= 0.0:
-        raise DomainError("cannot normalize an all-zero field")
-    return p * (target_sum / total)
+    return FieldHistory(fields=fields, zs=zs, grid=grid)
 
 
 def extract_power_profile(p: np.ndarray, grid: PropagationGrid,
@@ -304,10 +266,10 @@ def antenna_power_profile(lens: LensSpec, grid: PropagationGrid, array: ArraySpe
                           aod_deg: float, stride: int = 1) -> np.ndarray:
     """Per-antenna power profile at the array plane for one departure angle.
 
-    Propagates with axial step stride*dz. When that step does not divide the
-    lens-to-array distance the profile is taken at the last plane before the
-    array (with a warning); the beam is still converging there, so coarse
-    strides trade accuracy for step count.
+    The profile is read at the last plane z = n*stride*dz that does not pass
+    the array. When stride*dz does not divide the lens-to-array distance that
+    plane falls short of the array (with a warning) and the beam is still
+    converging there; otherwise the stride changes nothing but roundoff.
     """
     if stride < 1:
         raise ConfigError("stride must be a positive integer")
@@ -323,9 +285,5 @@ def antenna_power_profile(lens: LensSpec, grid: PropagationGrid, array: ArraySpe
             f"axial step {step} does not divide the array distance "
             f"{array.lens_distance}; using the profile at z={z_reach}",
             stacklevel=2)
-    u0 = lens_phase_profile(lens, grid, aod_deg)
-    hist = propagate(u0, n_steps, dz=step)
-    final = ComplexField(samples=hist.fields[-1], z=float(hist.zs[-1]),
-                         grid=grid, power=hist.power)
-    p = intensity(final, float(array.num_antennas))
-    return extract_power_profile(p, grid, lens, array)
+    hist = propagate(lens_phase_profile(lens, grid, aod_deg), grid, 1, dz=z_reach)
+    return extract_power_profile(np.abs(hist.fields[-1]) ** 2, grid, lens, array)

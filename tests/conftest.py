@@ -1,6 +1,6 @@
 """Shared fixtures: default optics and a session-wide profile set.
 
-BPM sweeps dominate the suite's runtime, so profiles at the angles the
+Propagation sweeps dominate the suite's runtime, so profiles at the angles the
 tests share are computed once per session.
 """
 
@@ -52,7 +52,7 @@ def focus_runs(coarse_grid, array) -> dict[float, tuple[float, float, float]]:
         u0 = lens_phase_profile(lens_f, coarse_grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # short-f runs spread to the window edge
-            hist = propagate(u0, 60)
+            hist = propagate(u0, coarse_grid, 60)
         z, gain_cell = find_focal_peak(hist, lens_f, array)
         _, gain_raw = find_focal_peak(hist)
         out[f] = (z, gain_cell, gain_raw)

@@ -17,7 +17,6 @@ from lensmimo import (ArraySpec, LensSpec, PropagationGrid, ScenarioConfig,
                       power_correlation_matrix, propagate, quantize,
                       run_monte_carlo, zf_precoder)
 from lensmimo.cli import EXIT_OK, main
-from lensmimo.waveoptics import bpm_step
 
 
 def _gap_in_se(mean_hi, err_hi, mean_lo, err_lo):
@@ -40,7 +39,7 @@ def test_focus_scan_hits_coarse_grid_targets():
     measured = {}
     for f in sorted(dist_targets):
         lens = LensSpec(focal_length=f)
-        hist = propagate(lens_phase_profile(lens, grid), steps=60)
+        hist = propagate(lens_phase_profile(lens, grid), grid, steps=60)
         z, gain = find_focal_peak(hist, lens, array)
         measured[f] = (z, gain)
     elapsed = time.perf_counter() - t0
@@ -62,20 +61,18 @@ def test_focus_scan_hits_coarse_grid_targets():
 
 
 def test_conservation_symmetry_and_profile_sums():
-    """Per-step power conservation <= 1e-9, drift <= 5%, mirror-symmetric
+    """Power at every plane within 1e-9 of the input, mirror-symmetric
     head-on history <= 1e-6, profile sums within 1e-6 of M."""
     lens, grid, array = LensSpec(), PropagationGrid(), ArraySpec()
     t0 = time.perf_counter()
 
-    fld = bpm_step(lens_phase_profile(lens, grid, 7.0))
-    worst_cons = 0.0
-    for _ in range(25):
-        before = fld.power
-        fld = bpm_step(fld)
-        worst_cons = max(worst_cons, abs(fld.power - before) / before)
+    u0 = lens_phase_profile(lens, grid, 7.0)
+    planes = propagate(u0, grid, steps=25).fields
+    power = np.sum(np.abs(u0) ** 2)
+    worst_cons = float(np.max(np.abs(np.sum(np.abs(planes) ** 2, axis=1) - power))
+                       / power)
 
-    hist = propagate(lens_phase_profile(lens, grid, 0.0), steps=25)
-    worst_drift = float(np.max(hist.drift))
+    hist = propagate(lens_phase_profile(lens, grid, 0.0), grid, steps=25)
     inten = np.abs(hist.fields) ** 2
     mirrored = np.roll(inten[:, ::-1], 1, axis=1)
     asym = float(np.max(np.abs(inten - mirrored)) / inten.max())
@@ -85,11 +82,10 @@ def test_conservation_symmetry_and_profile_sums():
     worst_sum = float(np.max(np.abs(np.asarray(sums) - array.num_antennas)))
     elapsed = time.perf_counter() - t0
 
-    print(f"[acceptance] conservation {worst_cons:.2e} (<=1e-9), drift "
-          f"{worst_drift:.2e} (<=0.05), asymmetry {asym:.2e} (<=1e-6), "
+    print(f"[acceptance] conservation {worst_cons:.2e} (<=1e-9), "
+          f"asymmetry {asym:.2e} (<=1e-6), "
           f"profile-sum error {worst_sum:.2e} (<=1e-6), {elapsed:.2f}s (<5s)")
     assert worst_cons <= 1e-9
-    assert worst_drift <= 0.05
     assert asym <= 1e-6
     assert worst_sum <= 1e-6
     assert elapsed < 5.0

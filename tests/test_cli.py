@@ -129,6 +129,31 @@ def test_exit_code_for_non_finite_user(tmp_path, capsys, users):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("command, setting, extra", [
+    ("lens-profile", ("lens", "focal_length", "nan"), ()),
+    ("bpm-field", ("grid", "dz", "nan"), ()),
+    ("simulate", ("array", "lens_distance", "inf"), ()),
+    ("simulate", ("simulation", "snr_db", "nan"), ()),
+    ("simulate", ("array", "spacing", "nan"), ()),
+    ("bpm-field", None, ("--aod", "nan")),
+], ids=["focal_length", "dz", "lens_distance", "snr_db", "spacing", "aod"])
+def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
+                                          extra):
+    sections = {"users": {"angles": "-10, 10"}, "array": {"num_antennas": "16"},
+                "simulation": {"bits": "3", "snr_db": "0", "trials": "2"}}
+    if setting is not None:
+        section, key, value = setting
+        sections.setdefault(section, {})[key] = value
+    p = tmp_path / "nonfinite.ini"
+    p.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                         for sec, kv in sections.items()))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(p), "--out-dir", str(out), *extra])
+    assert rc == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_for_thread_count_below_one(ini_dir, tmp_path, capsys):
     rc = main(["simulate", "--config", str(ini_dir / "small.ini"),
                "--out-dir", str(tmp_path), "--threads", "0"])
@@ -261,6 +286,25 @@ def test_no_build_rejects_coarse_step_sources(ini_dir, cache_dir, tmp_path, caps
                "--cache-dir", str(cache_dir), "--no-build", "--threads", "1"])
     assert rc == EXIT_CONFIG
     assert "drop --no-build" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cells: cells[:-3],                       # a write cut short
+    lambda cells: [cells[0], "abc", *cells[2:]],
+    lambda cells: [cells[0], "nan", *cells[2:]],
+], ids=["truncated_row", "non_numeric_token", "non_finite_value"])
+def test_no_build_rejects_malformed_cache(ini_dir, cache_dir, tmp_path, capsys,
+                                          edit):
+    src = next(cache_dir.glob("profiles_*.csv"))
+    head, _, last = src.read_text().rstrip("\n").rpartition("\n")
+    bad_dir = tmp_path / "cache"
+    bad_dir.mkdir()
+    (bad_dir / src.name).write_text(f"{head}\n{','.join(edit(last.split(',')))}\n")
+    out = tmp_path / "out"
+    rc = _run_simulate(ini_dir, out, "--cache-dir", str(bad_dir), "--no-build")
+    assert rc == EXIT_CONFIG
+    assert "rebuild the cache" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

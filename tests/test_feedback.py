@@ -13,8 +13,7 @@ from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec,
                       approx_sinr, correlate_codebook, correlation_matrix,
                       fit_gaussian_model, gaussian_profile, generate_mvcq,
                       generate_rvq, matrix_sqrt, mrt_precoder, quantize,
-                      received_sinr, sub_bpm_profile)
-from lensmimo.feedback import (codebook_key, load_codebook, save_codebook)
+                      received_sinr)
 
 
 def _batch_normalize(w):
@@ -354,7 +353,7 @@ def test_gaussian_profile_normalized_and_guarded(lens, grid, array, profile_set)
 
 
 def test_sub_bpm_stride_one_identical(lens, grid, array, profile_set):
-    a = sub_bpm_profile(lens, grid, array, 1, 10.0)
+    a = antenna_power_profile(lens, grid, array, 10.0, stride=1)
     assert np.array_equal(a, profile_set[10.0])
 
 
@@ -362,7 +361,7 @@ def test_sub_bpm_divisible_stride_exact(lens, grid, array):
     """Steps that land exactly on the array plane lose nothing: the one-step
     propagator composes exactly."""
     ref = antenna_power_profile(lens, grid, array, 5.0)
-    a5 = sub_bpm_profile(lens, grid, array, 5, 5.0)
+    a5 = antenna_power_profile(lens, grid, array, 5.0, stride=5)
     assert np.allclose(a5, ref, atol=1e-9)
 
 
@@ -375,7 +374,7 @@ def test_sub_bpm_degradation_monotone(lens, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         for stride in (1, 2, 5, 20):
-            a = sub_bpm_profile(lens, grid, arr, stride, 8.0)
+            a = antenna_power_profile(lens, grid, arr, 8.0, stride=stride)
             assert a.sum() == pytest.approx(arr.num_antennas, abs=1e-6)
             rms.append(float(np.sqrt(np.mean((a - ref) ** 2))))
     assert rms[0] <= 1e-12
@@ -385,7 +384,7 @@ def test_sub_bpm_degradation_monotone(lens, grid):
 
 def test_sub_bpm_oversized_stride_errors(lens, grid, array):
     with pytest.raises(DomainError):
-        sub_bpm_profile(lens, grid, array, 30, 0.0)
+        antenna_power_profile(lens, grid, array, 0.0, stride=30)
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +445,3 @@ def test_approx_sinr_orders_users_like_exact(profile_set):
 def test_approx_sinr_rejects_mismatched_shapes():
     with pytest.raises(ConfigError):
         approx_sinr(np.ones((2, 2)), np.ones((3, 4)), np.ones((4, 3)), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# codebook cache
-
-
-def test_codebook_cache_round_trip(tmp_path):
-    cb = generate_rvq(16, 4, np.random.default_rng(55))
-    key = codebook_key(16, 4, 55, cb.kind, None, "none")
-    path = tmp_path / "book.npz"
-    save_codebook(path, cb, key)
-    back = load_codebook(path, key)
-    assert np.array_equal(back.vectors, cb.vectors)
-    assert back.bits == cb.bits and back.kind == cb.kind
-    assert back.user_angle_deg is None
-    with pytest.raises(ConfigError):
-        load_codebook(path, codebook_key(16, 4, 56, cb.kind, None, "none"))

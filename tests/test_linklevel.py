@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lensmimo import (ConfigError, DomainError, ScenarioConfig, UserConfig,
-                      apply_lens, correlate_codebook, correlation_matrix,
+                      antenna_power_profile, apply_lens, correlate_codebook, correlation_matrix,
                       draw_channel, generate_mvcq, generate_rvq, matrix_sqrt,
                       mrt_precoder, parse_quantizer, quantize, received_sinr,
                       run_monte_carlo, sum_rate, zf_precoder)
@@ -332,6 +332,26 @@ def test_lens_profiles_cover_each_quantizer_source(lens, grid, array):
     for token, a in prof.codebook.items():
         assert a.shape == (2, 64)
         assert np.allclose(a.sum(axis=1), 64.0, atol=1e-6)
+
+
+def test_scenario_profiles_come_from_the_given_source(lens, grid, array):
+    """A supplied source serves the channel, bpm and gaussian profiles (the
+    latter through the sector anchors); sub_bpm is always propagated."""
+    cfg = ScenarioConfig(users=_two_users(), trials=1,
+                         quantizers=("mvcq", "mvcq:gaussian", "mvcq:sub_bpm:5"))
+    asked = []
+
+    def profile_at(aod):
+        asked.append(aod)
+        return antenna_power_profile(lens, grid, array, aod)
+
+    prof = build_scenario_profiles(cfg, profile_at)
+    assert asked == [u.angle_deg for u in cfg.users] + list(
+        linklevel.GAUSSIAN_ANCHORS_DEG)
+    ref = build_scenario_profiles(cfg)
+    assert np.array_equal(prof.channel, ref.channel)
+    for token in cfg.quantizers:
+        assert np.array_equal(prof.codebook[token], ref.codebook[token])
 
 
 def test_profile_shaped_codebook_beats_plain_quantization():
