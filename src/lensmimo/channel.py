@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .waveoptics import KAPPA
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,7 @@ def laplacian_pas(offset: np.ndarray | float, sigma: float) -> np.ndarray:
     return np.where((offset >= -np.pi) & (offset < np.pi), dens, 0.0)
 
 
-def correlation_matrix(user: UserConfig, m: int, spacing: float = 0.5,
-                       wavelength: float = 1.0) -> np.ndarray:
+def correlation_matrix(user: UserConfig, m: int, spacing: float = 0.5) -> np.ndarray:
     """Closed-form transmit correlation for a ULA under Laplacian spread.
 
     R_pq = e^{j kappa d (p-q) sin(theta)} / (1 + (sigma^2/2)(kappa d (p-q) cos(theta))^2),
@@ -57,9 +57,8 @@ def correlation_matrix(user: UserConfig, m: int, spacing: float = 0.5,
         raise ConfigError("antenna spacing must be positive")
     theta = np.deg2rad(user.angle_deg)
     sigma = np.deg2rad(user.sigma_deg)
-    kappa = 2.0 * np.pi / wavelength
     delta = np.arange(m)[:, None] - np.arange(m)[None, :]
-    arg = kappa * spacing * delta
+    arg = KAPPA * spacing * delta
     r = np.exp(1j * arg * np.sin(theta)) / (1.0 + (sigma**2 / 2.0) * (arg * np.cos(theta))**2)
     return 0.5 * (r + r.conj().T)
 

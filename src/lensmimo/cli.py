@@ -12,7 +12,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -21,6 +21,7 @@ from . import linklevel, profile_cache, waveoptics
 from .channel import UserConfig
 from .errors import ConfigError, DomainError
 from .linklevel import ScenarioConfig
+from .waveoptics import ArraySpec, LensSpec, PropagationGrid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,14 +29,14 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 
-def _float_list(raw: str) -> list[float]:
+def _float_list(raw: str) -> tuple[float, ...]:
     toks = [t.strip() for t in raw.replace(";", ",").split(",")]
-    return [float(t) for t in toks if t]
+    return tuple(float(t) for t in toks if t)
 
 
-def _token_list(raw: str) -> list[str]:
+def _token_list(raw: str) -> tuple[str, ...]:
     toks = [t.strip() for t in raw.replace(";", ",").split(",")]
-    return [t for t in toks if t]
+    return tuple(t for t in toks if t)
 
 
 def _on_off(raw: str) -> bool:
@@ -63,7 +64,10 @@ def parse_config(path: str, require_users: bool = True) -> ScenarioConfig:
     """Read and validate a scenario file, filling every default.
 
     Unknown sections or keys are rejected by name; every value is parsed
-    with its section.key named in any diagnostic.
+    with its section.key named in any diagnostic. The [lens], [array] and
+    [grid] keys are the fields of LensSpec, ArraySpec and PropagationGrid,
+    and the [simulation] and [scenario] keys those of ScenarioConfig (with
+    [scenario] lens for lens_enabled), so each default lives in its class.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -88,15 +92,13 @@ def parse_config(path: str, require_users: bool = True) -> ScenarioConfig:
                 raise ConfigError(
                     f"{path}: [{sec}] {key}: cannot parse '{raw}' ({exc})") from exc
 
-    def get(sec: str, key: str, default):
-        return vals.get(sec, {}).get(key, default)
-
-    angles = get("users", "angles", None)
+    users = vals.get("users", {})
+    angles = users.get("angles")
     if angles is None:
         if require_users:
             raise ConfigError(f"{path}: [users] angles is required")
-        angles = [0.0]
-    sigma = get("users", "sigma", [5.0])
+        angles = (0.0,)
+    sigma = users.get("sigma", (UserConfig.sigma_deg,))
     if len(sigma) == 1:
         sigma = sigma * len(angles)
     if len(sigma) != len(angles):
@@ -104,98 +106,69 @@ def parse_config(path: str, require_users: bool = True) -> ScenarioConfig:
             f"{path}: [users] sigma must be a scalar or match the "
             f"{len(angles)} angles")
 
+    scenario = vals.get("scenario", {})
+    if "lens" in scenario:
+        scenario["lens_enabled"] = scenario.pop("lens")
+    scenario.setdefault("name", os.path.splitext(os.path.basename(path))[0])
     try:
         return ScenarioConfig(
             users=tuple(UserConfig(angle_deg=a, sigma_deg=s)
                         for a, s in zip(angles, sigma)),
-            name=get("scenario", "name", os.path.splitext(os.path.basename(path))[0]),
-            num_antennas=get("array", "num_antennas", 64),
-            spacing=get("array", "spacing", 0.5),
-            bits=get("simulation", "bits", 6),
-            lens_enabled=get("scenario", "lens", True),
-            focal_length=get("lens", "focal_length", 40.0),
-            aperture=get("lens", "aperture", 20.0),
-            epsilon_r=get("lens", "epsilon_r", 2.4),
-            lens_distance=get("array", "lens_distance", 25.0),
-            grid_dx=get("grid", "dx", 0.0625),
-            grid_dz=get("grid", "dz", 1.0),
-            window=get("grid", "window", 80.0),
-            precoders=tuple(get("scenario", "precoders", ["zf"])),
-            quantizers=tuple(get("scenario", "quantizers", ["mvcq"])),
-            snr_db=tuple(get("simulation", "snr_db", [0.0, 5.0, 10.0, 15.0, 20.0])),
-            trials=get("simulation", "trials", 1000),
-            seed=get("simulation", "seed", 1234),
-        )
+            lens=LensSpec(**vals.get("lens", {})),
+            array=ArraySpec(**vals.get("array", {})),
+            grid=PropagationGrid(**vals.get("grid", {})),
+            **vals.get("simulation", {}), **scenario)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-@dataclass
-class RunManifest:
-    """Everything one subcommand invocation needs."""
-
-    config: str
-    out_dir: str = "."
-    cache_dir: str | None = None
-    seed: int | None = None
-    no_build: bool = False
-    aod_deg: float = 0.0
-    steps: int | None = None
-
-    def __post_init__(self):
-        if self.cache_dir is None:
-            self.cache_dir = self.out_dir
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError("seed override must be nonnegative")
-
-
-def _load(manifest: RunManifest, require_users: bool) -> ScenarioConfig:
-    cfg = parse_config(manifest.config, require_users=require_users)
-    if manifest.seed is not None:
-        cfg = replace(cfg, seed=manifest.seed)
+def _load(args: argparse.Namespace, require_users: bool) -> ScenarioConfig:
+    cfg = parse_config(args.config, require_users=require_users)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
-def _cache_path(manifest: RunManifest, params: dict) -> str:
-    return os.path.join(manifest.cache_dir,
+def _cache_path(args: argparse.Namespace, params: dict) -> str:
+    return os.path.join(args.cache_dir,
                         f"profiles_{profile_cache.params_digest(params)}.csv")
 
 
-def cmd_lens_profile(manifest: RunManifest) -> int:
+def cmd_lens_profile(args: argparse.Namespace) -> int:
     """Sweep departure angles and write the power-profile table."""
-    cfg = _load(manifest, require_users=False)
+    cfg = _load(args, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
     table = profile_cache.build_profile_table(lens, grid, array)
-    os.makedirs(manifest.cache_dir, exist_ok=True)
-    path = _cache_path(manifest, table.params)
+    os.makedirs(args.cache_dir, exist_ok=True)
+    path = _cache_path(args, table.params)
     profile_cache.write_profile_table(path, table)
     print(f"wrote {table.aods_deg.size} profiles to {path}")
     return EXIT_OK
 
 
-def cmd_bpm_field(manifest: RunManifest) -> int:
+def cmd_bpm_field(args: argparse.Namespace) -> int:
     """Propagate one incidence angle and dump the intensity history."""
-    cfg = _load(manifest, require_users=False)
+    cfg = _load(args, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
-    steps = manifest.steps
+    steps = args.steps
     if steps is None:
         steps = int(np.ceil(1.5 * lens.focal_length / grid.dz))
-    u0 = waveoptics.lens_phase_profile(lens, grid, manifest.aod_deg)
+    u0 = waveoptics.lens_phase_profile(lens, grid, args.aod)
     hist = waveoptics.propagate(u0, grid, steps)
     z_peak, gain = waveoptics.find_focal_peak(hist, lens, array)
 
     inten = np.abs(hist.fields) ** 2 / np.abs(hist.fields[0]).max() ** 2
-    os.makedirs(manifest.out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(
-        manifest.out_dir,
-        f"field_f{lens.focal_length:g}_aod{manifest.aod_deg:g}.csv")
+        args.out_dir,
+        f"field_f{lens.focal_length:g}_aod{args.aod:g}.csv")
     with open(path, "w") as fh:
         for key, val in (("focal_length", lens.focal_length),
                          ("aperture", lens.aperture),
                          ("epsilon_r", lens.epsilon_r),
                          ("dx", grid.dx), ("dz", grid.dz),
                          ("window", grid.window),
-                         ("aod_deg", manifest.aod_deg),
+                         ("aod_deg", args.aod),
                          ("rows_transverse", grid.num_samples),
                          ("cols_axial", steps + 1),
                          ("peak_distance", z_peak),
@@ -208,7 +181,7 @@ def cmd_bpm_field(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _cached_table(cfg: ScenarioConfig, manifest: RunManifest
+def _cached_table(cfg: ScenarioConfig, args: argparse.Namespace
                   ) -> profile_cache.ProfileTable:
     """The swept table --no-build serves the scenario's profiles from."""
     for token in cfg.quantizers:
@@ -217,7 +190,7 @@ def _cached_table(cfg: ScenarioConfig, manifest: RunManifest
                 f"quantizer '{token}' needs a fresh coarse-step run and cannot "
                 "be served from the cache; drop --no-build")
     params = profile_cache.cache_params(cfg.lens, cfg.grid, cfg.array)
-    path = _cache_path(manifest, params)
+    path = _cache_path(args, params)
     if not os.path.exists(path):
         raise ConfigError(
             f"--no-build is set but the profile cache {path} is missing; "
@@ -225,25 +198,25 @@ def _cached_table(cfg: ScenarioConfig, manifest: RunManifest
     return profile_cache.read_profile_table(path, expected_params=params)
 
 
-def cmd_simulate(manifest: RunManifest) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     """Run the Monte Carlo and write one CSV per precoder/quantizer pair."""
-    cfg = _load(manifest, require_users=True)
+    cfg = _load(args, require_users=True)
     profile_at = None
-    if cfg.lens_enabled and manifest.no_build:
-        profile_at = _cached_table(cfg, manifest).lookup
+    if cfg.lens_enabled and args.no_build:
+        profile_at = _cached_table(cfg, args).lookup
     profiles = linklevel.build_scenario_profiles(cfg, profile_at)
     result = linklevel.run_monte_carlo(cfg, profiles)
 
-    os.makedirs(manifest.out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     written = []
     for prec in cfg.precoders:
         for quant in cfg.quantizers:
             fname = f"{cfg.name}_{prec}_{quant.replace(':', '_')}.csv"
-            path = os.path.join(manifest.out_dir, fname)
+            path = os.path.join(args.out_dir, fname)
             with open(path, "w") as fh:
                 fh.write(linklevel.render_csv(result, prec, quant))
             written.append(path)
-    cmp_path = os.path.join(manifest.out_dir, f"{cfg.name}_comparison.csv")
+    cmp_path = os.path.join(args.out_dir, f"{cfg.name}_comparison.csv")
     with open(cmp_path, "w") as fh:
         fh.write(linklevel.render_comparison(result))
     written.append(cmp_path)
@@ -252,16 +225,16 @@ def cmd_simulate(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def cmd_fit_gaussian(manifest: RunManifest) -> int:
+def cmd_fit_gaussian(args: argparse.Namespace) -> int:
     """Fit the spot model at the anchor angles and write the parameter table."""
-    cfg = _load(manifest, require_users=False)
+    cfg = _load(args, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
     model = linklevel.fit_sector_model(
         partial(waveoptics.antenna_power_profile, lens, grid, array), lens, array)
 
-    os.makedirs(manifest.out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     digest = profile_cache.params_digest(model.params)
-    path = os.path.join(manifest.out_dir, f"gaussian_fit_{digest}.csv")
+    path = os.path.join(args.out_dir, f"gaussian_fit_{digest}.csv")
     with open(path, "w") as fh:
         for k, v in model.params.items():
             fh.write(f"# {k} = {v!r}\n")
@@ -315,14 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.cache_dir is None:
+        args.cache_dir = args.out_dir
     try:
         if args.threads < 1:
             raise ConfigError("threads must be at least 1")
-        manifest = RunManifest(
-            config=args.config, out_dir=args.out_dir, cache_dir=args.cache_dir,
-            seed=args.seed, no_build=args.no_build,
-            aod_deg=getattr(args, "aod", 0.0), steps=getattr(args, "steps", None))
-        return _COMMANDS[args.command][0](manifest)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("seed override must be nonnegative")
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -204,26 +204,23 @@ def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
 
 
 def gaussian_profile(theta_deg: float, model: GaussianProfileModel,
-                     array: ArraySpec, lens: LensSpec | None = None) -> np.ndarray:
+                     array: ArraySpec, lens: LensSpec) -> np.ndarray:
     """Evaluate the fitted spot model at one angle and renormalize to sum M."""
     if model.params["M"] != float(array.num_antennas) or \
             model.params["ell"] != float(array.lens_distance):
         raise ConfigError(
             "gaussian model was fitted for a different array configuration")
-    if lens is not None and (model.params["f"] != float(lens.focal_length)
-                             or model.params["D"] != float(lens.aperture)):
+    if model.params["f"] != float(lens.focal_length) or \
+            model.params["D"] != float(lens.aperture):
         raise ConfigError("gaussian model was fitted for a different lens")
-    m = array.num_antennas
-    cell = model.params["D"] / m
-    y = (np.arange(m) - (m - 1) / 2.0) * cell
     pv, qv, rv = model.evaluate_params(theta_deg)
     if pv <= 0 or rv <= 0:
         raise DomainError(f"interpolated spot parameters degenerate at {theta_deg} deg")
-    a = _gauss(y, pv, qv, rv)
+    a = _gauss(antenna_coordinates(lens, array), pv, qv, rv)
     total = a.sum()
     if total <= 0:
         raise DomainError("gaussian profile evaluated to zero everywhere")
-    return a * (m / total)
+    return a * (array.num_antennas / total)
 
 
 def approx_sinr(psi: np.ndarray, h: np.ndarray, f: np.ndarray, p_t: float) -> np.ndarray:

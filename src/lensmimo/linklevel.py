@@ -73,21 +73,20 @@ def parse_quantizer(token: str) -> tuple[str, str, int]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one simulated downlink scenario."""
+    """Complete description of one simulated downlink scenario.
+
+    The lens, array and propagation grid check their own values; lens and
+    grid are checked even with the lens disabled, since every output
+    header records them.
+    """
 
     users: tuple[UserConfig, ...]
     name: str = "scenario"
-    num_antennas: int = 64
-    spacing: float = 0.5
-    bits: int = 6
     lens_enabled: bool = True
-    focal_length: float = 40.0
-    aperture: float = 20.0
-    epsilon_r: float = 2.4
-    lens_distance: float = 25.0
-    grid_dx: float = 0.0625
-    grid_dz: float = 1.0
-    window: float = 80.0
+    lens: LensSpec = LensSpec()
+    array: ArraySpec = ArraySpec()
+    grid: PropagationGrid = PropagationGrid()
+    bits: int = 6
     precoders: tuple[str, ...] = ("zf",)
     quantizers: tuple[str, ...] = ("mvcq",)
     snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -98,26 +97,33 @@ class ScenarioConfig:
         k = len(self.users)
         if k < 1:
             raise ConfigError("scenario needs at least one user")
-        if k > self.num_antennas:
+        if k > self.array.num_antennas:
             raise ConfigError(
-                f"user count {k} exceeds antenna count {self.num_antennas}")
+                f"user count {k} exceeds antenna count {self.array.num_antennas}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if not 1 <= self.bits <= 16:
             raise ConfigError("bits must be between 1 and 16")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        for name in ("spacing", "focal_length", "aperture", "epsilon_r",
-                     "lens_distance", "grid_dx", "grid_dz", "window"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} {getattr(self, name)} is not finite")
-        if not np.all(np.isfinite(self.snr_db)):
-            raise ConfigError("snr_db values must be finite")
+        for snr in self.snr_db:
+            try:
+                p_t = 10.0 ** (float(snr) / 10.0)
+            except OverflowError:
+                p_t = np.inf
+            if not (np.isfinite(snr) and np.isfinite(p_t)):
+                raise ConfigError(
+                    f"snr_db {snr} and its linear power must be finite")
         for u in self.users:
             if abs(u.angle_deg) > SECTOR_DEG:
                 raise ConfigError(
                     f"user angle {u.angle_deg} deg is outside the "
                     f"[-{SECTOR_DEG:g}, {SECTOR_DEG:g}] deg sector")
+        for label, tokens in (("precoder", self.precoders),
+                              ("quantizer", self.quantizers)):
+            for t in tokens:
+                if tokens.count(t) > 1:
+                    raise ConfigError(f"{label} '{t}' is listed more than once")
         for p in self.precoders:
             if p not in PRECODER_TOKENS:
                 raise ConfigError(f"unknown precoder '{p}'")
@@ -134,38 +140,25 @@ class ScenarioConfig:
     def num_users(self) -> int:
         return len(self.users)
 
-    @property
-    def lens(self) -> LensSpec:
-        return LensSpec(focal_length=self.focal_length, aperture=self.aperture,
-                        epsilon_r=self.epsilon_r)
-
-    @property
-    def array(self) -> ArraySpec:
-        return ArraySpec(num_antennas=self.num_antennas, spacing=self.spacing,
-                         lens_distance=self.lens_distance)
-
-    @property
-    def grid(self) -> PropagationGrid:
-        return PropagationGrid(dx=self.grid_dx, dz=self.grid_dz, window=self.window)
-
     def flat_items(self) -> list[tuple[str, object]]:
         """Key-value echo of the complete effective configuration."""
+        lens, array, grid = self.lens, self.array, self.grid
         items: list[tuple[str, object]] = [
             ("scenario", self.name),
-            ("num_antennas", self.num_antennas),
+            ("num_antennas", array.num_antennas),
             ("num_users", self.num_users),
             ("user_angles_deg", ";".join(repr(u.angle_deg) for u in self.users)),
             ("sigma_deg", ";".join(repr(u.sigma_deg) for u in self.users)),
-            ("spacing", repr(self.spacing)),
+            ("spacing", repr(array.spacing)),
             ("bits", self.bits),
             ("lens_enabled", self.lens_enabled),
-            ("focal_length", repr(self.focal_length)),
-            ("aperture", repr(self.aperture)),
-            ("epsilon_r", repr(self.epsilon_r)),
-            ("lens_distance", repr(self.lens_distance)),
-            ("grid_dx", repr(self.grid_dx)),
-            ("grid_dz", repr(self.grid_dz)),
-            ("window", repr(self.window)),
+            ("focal_length", repr(lens.focal_length)),
+            ("aperture", repr(lens.aperture)),
+            ("epsilon_r", repr(lens.epsilon_r)),
+            ("lens_distance", repr(array.lens_distance)),
+            ("grid_dx", repr(grid.dx)),
+            ("grid_dz", repr(grid.dz)),
+            ("window", repr(grid.window)),
             ("precoders", ";".join(self.precoders)),
             ("quantizers", ";".join(self.quantizers)),
             ("snr_db", ";".join(repr(s) for s in self.snr_db)),
@@ -314,7 +307,7 @@ def _fill_cell(cfg: ScenarioConfig, factors: list[np.ndarray],
     h = np.stack([draw_channel(s, rng) for s in factors])
     if lens_roots is not None:
         h = lens_roots * h
-    bases = [generate_rvq(cfg.num_antennas, cfg.bits, rng) for _ in factors]
+    bases = [generate_rvq(cfg.array.num_antennas, cfg.bits, rng) for _ in factors]
     correlated = None
 
     p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
@@ -355,10 +348,11 @@ def run_monte_carlo(cfg: ScenarioConfig,
     """
     if profiles is None:
         profiles = build_scenario_profiles(cfg)
-    factors = [matrix_sqrt(correlation_matrix(u, cfg.num_antennas, cfg.spacing))
+    m = cfg.array.num_antennas
+    factors = [matrix_sqrt(correlation_matrix(u, m, cfg.array.spacing))
                for u in cfg.users]
     # apply_lens on all-ones rows checks each profile once and returns sqrt(a)
-    ones = np.ones((cfg.num_users, cfg.num_antennas))
+    ones = np.ones((cfg.num_users, m))
     lens_roots = None if profiles.channel is None else apply_lens(ones, profiles.channel)
     roots = {t: apply_lens(ones, a) for t, a in profiles.codebook.items()}
     kinds = [(t, parse_quantizer(t)[0]) for t in cfg.quantizers]
@@ -368,6 +362,10 @@ def run_monte_carlo(cfg: ScenarioConfig,
     for si in range(n_snr):
         for ti in range(n_tr):
             _fill_cell(cfg, factors, lens_roots, roots, kinds, rates, si, ti)
+    for prec, token in combos:
+        if not np.all(np.isfinite(rates[(prec, token)])):
+            raise DomainError(
+                f"precoder {prec} with quantizer {token} gave non-finite sum rates")
 
     mean = {c: rates[c].mean(axis=1) for c in combos}
     if n_tr > 1:

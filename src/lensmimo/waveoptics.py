@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
+# wavenumber of the carrier, 2 pi over one wavelength (the unit of length)
+KAPPA = 2.0 * np.pi
+
 
 def _positive(value: float) -> bool:
     return bool(np.isfinite(value) and value > 0)
@@ -29,33 +32,29 @@ class PropagationGrid:
     """Uniform sampling of the propagation window.
 
     dx, dz are the transverse and axial steps, window the full transverse
-    extent. The window must hold an even integer number of samples so the
-    FFT grid is symmetric about the axis.
+    extent. The window must hold an even integer number (at least 2) of
+    samples so the FFT grid is symmetric about the axis.
     """
 
     dx: float = 0.0625
     dz: float = 1.0
     window: float = 80.0
-    wavelength: float = 1.0
 
     def __post_init__(self):
-        for name in ("dx", "dz", "window", "wavelength"):
+        for name in ("dx", "dz", "window"):
             if not _positive(getattr(self, name)):
                 raise ConfigError(f"grid parameter {name} must be positive and finite")
         ratio = self.window / self.dx
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError(
                 f"window {self.window} is not an integer multiple of dx {self.dx}")
-        if round(ratio) % 2:
-            raise ConfigError("transverse sample count must be even")
+        if round(ratio) < 2 or round(ratio) % 2:
+            raise ConfigError(
+                f"transverse sample count {round(ratio)} must be even and at least 2")
 
     @property
     def num_samples(self) -> int:
         return int(round(self.window / self.dx))
-
-    @property
-    def kappa(self) -> float:
-        return 2.0 * np.pi / self.wavelength
 
     def x(self) -> np.ndarray:
         """Transverse sample coordinates, window centered on the axis."""
@@ -158,17 +157,16 @@ def lens_phase_profile(lens: LensSpec, grid: PropagationGrid,
             f"window {grid.window} must be at least twice the aperture "
             f"{lens.aperture} to keep wraparound off the stop")
     x = grid.x()
-    kappa = grid.kappa
     aod = np.deg2rad(aod_deg)
-    u = np.exp(-1j * kappa * x * x / (2.0 * lens.focal_length)
-               - 1j * kappa * x * np.sin(aod))
+    u = np.exp(-1j * KAPPA * x * x / (2.0 * lens.focal_length)
+               - 1j * KAPPA * x * np.sin(aod))
     u[np.abs(x) > lens.aperture / 2.0] = 0.0
     return u
 
 
 def fresnel_transfer(grid: PropagationGrid,
                      dz: float | np.ndarray | None = None) -> np.ndarray:
-    """Fourier-domain propagator exp(j kappa dz - j pi lam dz fx^2).
+    """Fourier-domain propagator exp(j kappa dz - j pi dz fx^2).
 
     This is the exact transfer function of the Fresnel convolution kernel:
     its modulus is 1 and transfers compose, H(z1) H(z2) = H(z1 + z2). dz may
@@ -180,8 +178,7 @@ def fresnel_transfer(grid: PropagationGrid,
     if not np.all(dz > 0):
         raise ConfigError("propagation distance must be positive")
     fx = grid.fx()
-    lam = grid.wavelength
-    return np.exp(1j * grid.kappa * dz) * np.exp(-1j * np.pi * lam * dz * fx * fx)
+    return np.exp(1j * KAPPA * dz) * np.exp(-1j * np.pi * dz * fx * fx)
 
 
 def propagate(u0: np.ndarray, grid: PropagationGrid, steps: int,
@@ -258,7 +255,7 @@ def find_focal_peak(history: FieldHistory, lens: LensSpec | None = None,
                       "extend the axial range", stacklevel=2)
     gain = float(per_plane[idx] / ref)
     if lens is not None and array is not None:
-        gain *= lens.aperture / (array.num_antennas * history.grid.wavelength)
+        gain *= lens.aperture / array.num_antennas
     return float(history.zs[idx]), gain
 
 

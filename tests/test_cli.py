@@ -1,10 +1,16 @@
 """Scenario parsing, subcommands, exit codes, and output reproducibility."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from lensmimo.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main,
                           parse_config)
+from lensmimo.linklevel import SimResult, render_csv
+
+SCENARIOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "scenarios")
+                   .glob("*.ini"))
 
 SMALL = """\
 [scenario]
@@ -41,12 +47,13 @@ def ini_dir(tmp_path_factory):
 def test_defaults_fill_a_minimal_file(ini_dir):
     cfg = parse_config(str(ini_dir / "minimal.ini"))
     assert cfg.name == "minimal"
-    assert cfg.num_antennas == 64
-    assert cfg.spacing == 0.5
+    assert cfg.array.num_antennas == 64
+    assert cfg.array.spacing == 0.5
     assert cfg.lens_enabled
-    assert (cfg.focal_length, cfg.aperture, cfg.epsilon_r) == (40.0, 20.0, 2.4)
-    assert cfg.lens_distance == 25.0
-    assert (cfg.grid_dx, cfg.grid_dz, cfg.window) == (0.0625, 1.0, 80.0)
+    lens = cfg.lens
+    assert (lens.focal_length, lens.aperture, lens.epsilon_r) == (40.0, 20.0, 2.4)
+    assert cfg.array.lens_distance == 25.0
+    assert (cfg.grid.dx, cfg.grid.dz, cfg.grid.window) == (0.0625, 1.0, 80.0)
     assert cfg.precoders == ("zf",)
     assert cfg.quantizers == ("mvcq",)
     assert cfg.snr_db == (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -57,7 +64,7 @@ def test_defaults_fill_a_minimal_file(ini_dir):
 def test_explicit_values_override_defaults(ini_dir):
     cfg = parse_config(str(ini_dir / "small.ini"))
     assert cfg.name == "unit"
-    assert cfg.num_antennas == 16
+    assert cfg.array.num_antennas == 16
     assert cfg.precoders == ("zf", "mrt")
     assert cfg.quantizers == ("mvcq", "rvq")
     assert cfg.snr_db == (0.0, 10.0)
@@ -92,6 +99,35 @@ def test_unknown_names_are_rejected_with_location(tmp_path):
         parse_config(str(p))
 
 
+HEADER_KEYS = ["scenario", "num_antennas", "num_users", "user_angles_deg",
+               "sigma_deg", "spacing", "bits", "lens_enabled", "focal_length",
+               "aperture", "epsilon_r", "lens_distance", "grid_dx", "grid_dz",
+               "window", "precoders", "quantizers", "snr_db", "trials", "seed"]
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_shipped_scenarios_parse_and_keep_the_csv_header(path):
+    cfg = parse_config(str(path))
+    zeros = np.zeros(len(cfg.snr_db))
+    combo = (cfg.precoders[0], cfg.quantizers[0])
+    result = SimResult(scenario=cfg, snr_db=np.asarray(cfg.snr_db), rates={},
+                       mean={combo: zeros}, stderr={combo: zeros})
+    header = [ln[2:] for ln in render_csv(result, *combo).splitlines()
+              if ln.startswith("# ")]
+    assert [h.partition(" = ")[0] for h in header] == \
+        HEADER_KEYS + ["precoder", "quantizer"]
+    if path.stem == "four_user_downlink":
+        assert header[:len(HEADER_KEYS)] == [
+            "scenario = four_user_downlink", "num_antennas = 64",
+            "num_users = 4", "user_angles_deg = -12.0;-7.0;10.0;0.0",
+            "sigma_deg = 5.0;5.0;5.0;5.0", "spacing = 0.5", "bits = 6",
+            "lens_enabled = True", "focal_length = 40.0", "aperture = 20.0",
+            "epsilon_r = 2.4", "lens_distance = 25.0", "grid_dx = 0.0625",
+            "grid_dz = 1.0", "window = 80.0", "precoders = zf;mrt",
+            "quantizers = mvcq;rvq", "snr_db = 0.0;5.0;10.0;15.0;20.0",
+            "trials = 1000", "seed = 77"]
+
+
 def test_missing_users_section_is_an_error(tmp_path):
     from lensmimo import ConfigError
     p = tmp_path / "nousers.ini"
@@ -118,6 +154,17 @@ def test_exit_code_for_bad_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def _small_ini(path, edits):
+    """A two-user, 16-antenna, two-trial scenario file with edits applied."""
+    sections = {"users": {"angles": "-10, 10"}, "array": {"num_antennas": "16"},
+                "simulation": {"bits": "3", "snr_db": "0", "trials": "2"}}
+    for section, kv in edits.items():
+        sections.setdefault(section, {}).update(kv)
+    path.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                            for sec, kv in sections.items()))
+    return path
+
+
 @pytest.mark.parametrize("users", ["angles = nan", "angles = 0\nsigma = inf"])
 def test_exit_code_for_non_finite_user(tmp_path, capsys, users):
     p = tmp_path / "nonfinite.ini"
@@ -139,18 +186,37 @@ def test_exit_code_for_non_finite_user(tmp_path, capsys, users):
 ], ids=["focal_length", "dz", "lens_distance", "snr_db", "spacing", "aod"])
 def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
                                           extra):
-    sections = {"users": {"angles": "-10, 10"}, "array": {"num_antennas": "16"},
-                "simulation": {"bits": "3", "snr_db": "0", "trials": "2"}}
+    edits = {}
     if setting is not None:
         section, key, value = setting
-        sections.setdefault(section, {})[key] = value
-    p = tmp_path / "nonfinite.ini"
-    p.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
-                         for sec, kv in sections.items()))
+        edits = {section: {key: value}}
+    p = _small_ini(tmp_path / "nonfinite.ini", edits)
     out = tmp_path / "out"
     rc = main([command, "--config", str(p), "--out-dir", str(out), *extra])
     assert rc == EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edits, extra, code", [
+    ({"simulation": {"snr_db": "4000"}}, (), EXIT_CONFIG),
+    ({"grid": {"dx": "1e200"}}, (), EXIT_CONFIG),
+    ({"scenario": {"lens": "off", "quantizers": "rvq"},
+      "lens": {"focal_length": "-5"}}, (), EXIT_CONFIG),
+    ({"scenario": {"quantizers": "rvq, rvq"}}, (), EXIT_CONFIG),
+    ({}, ("--seed", "-1"), EXIT_CONFIG),
+    # sigma^2 overflows, so the correlation diagonal is inf * 0 = nan
+    ({"scenario": {"precoders": "mrt"}, "users": {"sigma": "1e200"}}, (),
+     EXIT_DOMAIN),
+], ids=["snr_overflow", "empty_grid", "bad_lens_while_off", "repeated_quantizer",
+        "negative_seed", "nan_rates"])
+def test_rejected_input_writes_nothing(tmp_path, capsys, edits, extra, code):
+    p = _small_ini(tmp_path / "rejected.ini", edits)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(p), "--out-dir", str(out), *extra])
+    assert rc == code
+    assert ("configuration error" if code == EXIT_CONFIG else "numerical error") \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,9 +1,11 @@
 """Precoders, exact SINR, scenario validation, and the Monte-Carlo driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from lensmimo import (ConfigError, DomainError, ScenarioConfig, UserConfig,
+from lensmimo import (ArraySpec, ConfigError, DomainError, ScenarioConfig, UserConfig,
                       antenna_power_profile, apply_lens, correlate_codebook, correlation_matrix,
                       draw_channel, generate_mvcq, generate_rvq, matrix_sqrt,
                       mrt_precoder, parse_quantizer, quantize, received_sinr,
@@ -179,7 +181,7 @@ def _two_users():
 
 def test_scenario_validation():
     with pytest.raises(ConfigError, match="exceeds antenna count"):
-        ScenarioConfig(users=_two_users(), num_antennas=1)
+        ScenarioConfig(users=_two_users(), array=ArraySpec(num_antennas=1))
     with pytest.raises(ConfigError, match="sector"):
         ScenarioConfig(users=(UserConfig(45.0, 5.0),))
     with pytest.raises(ConfigError):
@@ -197,6 +199,14 @@ def test_scenario_validation():
         ScenarioConfig(users=_two_users(), bits=0)
     with pytest.raises(ConfigError):
         ScenarioConfig(users=(),)
+    for tokens in (dict(quantizers=("rvq", "mvcq", "rvq")),
+                   dict(precoders=("zf", "zf"))):
+        with pytest.raises(ConfigError, match="more than once"):
+            ScenarioConfig(users=_two_users(), **tokens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # rejected without a numpy warning
+        with pytest.raises(ConfigError, match="linear power"):
+            ScenarioConfig(users=_two_users(), snr_db=(0.0, 4000.0))
 
 
 def test_scenario_without_lens_allows_plain_quantizers():
@@ -210,7 +220,7 @@ def test_scenario_without_lens_allows_plain_quantizers():
 
 
 def _small_cfg(**overrides):
-    base = dict(users=_two_users(), name="unit", num_antennas=16,
+    base = dict(users=_two_users(), name="unit", array=ArraySpec(num_antennas=16),
                 lens_enabled=False, quantizers=("rvq", "full"),
                 precoders=("zf", "mrt"), snr_db=(0.0, 10.0), trials=12,
                 seed=321, bits=4)
@@ -244,7 +254,7 @@ def _reference_cell_rates(cfg, profiles, factors, si, ti):
         h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
     else:
         h_true = h
-    bases = [generate_rvq(cfg.num_antennas, cfg.bits, rng) for _ in range(k)]
+    bases = [generate_rvq(cfg.array.num_antennas, cfg.bits, rng) for _ in range(k)]
 
     p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
     out = {}
@@ -279,7 +289,8 @@ def test_monte_carlo_matches_reference_cells(lens_enabled):
                      trials=4)
     profiles = build_scenario_profiles(cfg)
     res = run_monte_carlo(cfg, profiles)
-    factors = [matrix_sqrt(correlation_matrix(u, cfg.num_antennas, cfg.spacing))
+    factors = [matrix_sqrt(correlation_matrix(u, cfg.array.num_antennas,
+                                              cfg.array.spacing))
                for u in cfg.users]
     ref = {c: np.empty_like(r) for c, r in res.rates.items()}
     for si in range(len(cfg.snr_db)):
