@@ -59,7 +59,12 @@ def correlation_matrix(user: UserConfig, m: int, spacing: float = 0.5) -> np.nda
     sigma = np.deg2rad(user.sigma_deg)
     delta = np.arange(m)[:, None] - np.arange(m)[None, :]
     arg = KAPPA * spacing * delta
-    r = np.exp(1j * arg * np.sin(theta)) / (1.0 + (sigma**2 / 2.0) * (arg * np.cos(theta))**2)
+    # a huge spread zeroes the off-diagonals; an overflowing sigma^2 leaves nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.exp(1j * arg * np.sin(theta)) / (1.0 + (sigma**2 / 2.0) * (arg * np.cos(theta))**2)
+    if not np.all(np.isfinite(r)):
+        raise DomainError(f"angular spread {user.sigma_deg} deg gives a non-finite "
+                          "correlation matrix")
     return 0.5 * (r + r.conj().T)
 
 

@@ -27,16 +27,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
-
-
-def _float_list(raw: str) -> tuple[float, ...]:
-    toks = [t.strip() for t in raw.replace(";", ",").split(",")]
-    return tuple(float(t) for t in toks if t)
+# bpm-field history limit, (steps + 1) x samples: 128 MB per complex copy
+MAX_FIELD_VALUES = 2 ** 23
 
 
 def _token_list(raw: str) -> tuple[str, ...]:
     toks = [t.strip() for t in raw.replace(";", ",").split(",")]
     return tuple(t for t in toks if t)
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in _token_list(raw))
 
 
 def _on_off(raw: str) -> bool:
@@ -152,7 +153,11 @@ def cmd_bpm_field(args: argparse.Namespace) -> int:
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
     steps = args.steps
     if steps is None:
-        steps = int(np.ceil(1.5 * lens.focal_length / grid.dz))
+        steps = np.ceil(1.5 * lens.focal_length / grid.dz)
+    if not (steps + 1) * grid.num_samples <= MAX_FIELD_VALUES:
+        raise ConfigError(f"{steps:.3g} steps of {grid.num_samples} samples exceed "
+                          f"the field history limit of {MAX_FIELD_VALUES} values")
+    steps = int(steps)
     u0 = waveoptics.lens_phase_profile(lens, grid, args.aod)
     hist = waveoptics.propagate(u0, grid, steps)
     z_peak, gain = waveoptics.find_focal_peak(hist, lens, array)

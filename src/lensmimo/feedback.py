@@ -1,10 +1,10 @@
 """Limited-feedback channel quantization.
 
-Baseline random vector quantization (isotropic codewords), its correlated
-variant (codewords shaped by the channel's own correlation square root), and
-the per-antenna-variance codebook that additionally carries the lens power
-profile. Also the cheap profile estimator: a Gaussian model of the focused
-spot, fitted to propagated profiles and interpolated across angle.
+Codebooks are (m, 2^bits) arrays of unit codeword columns: isotropic random
+ones (RVQ), shaped by the channel's correlation square root and then by the
+lens power profile (MVCQ); a user feeds back the best-aligned column. Also
+the cheap profile estimator: a Gaussian model of the focused spot, fitted to
+propagated profiles and interpolated across angle.
 """
 
 from __future__ import annotations
@@ -19,89 +19,58 @@ from scipy.optimize import curve_fit
 from .errors import ConfigError, DomainError
 from .waveoptics import ArraySpec, LensSpec
 
-KIND_RVQ = "rvq"
-KIND_RVQ_CORRELATED = "rvq_correlated"
-KIND_MVCQ = "mvcq"
 
-
-@dataclass(frozen=True)
-class Codebook:
-    """Unit-norm codeword columns, 2^bits of them."""
-
-    vectors: np.ndarray         # (m, 2^bits), columns unit norm
-    bits: int
-    kind: str
-    user_angle_deg: float | None = None
-
-
-@dataclass(frozen=True)
-class QuantizationResult:
-    """Selected codeword: 0-based column index and the unit direction itself."""
-
-    index: int
-    direction: np.ndarray
-
-
-def _normalize_columns(w: np.ndarray) -> np.ndarray:
+def _unit_columns(w: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(w, axis=0)
     if np.any(norms == 0):
         raise DomainError("codebook construction produced a zero codeword")
     return w / norms
 
 
-def generate_rvq(m: int, bits: int, rng: np.random.Generator) -> Codebook:
-    """Isotropic random codebook: i.i.d. complex normal columns, normalized."""
+def random_codebook(m: int, bits: int, rng: np.random.Generator) -> np.ndarray:
+    """Isotropic random codebook: (m, 2^bits) i.i.d. complex normal unit columns."""
     if not 1 <= bits <= 16:
         raise ConfigError("codebook bits must be between 1 and 16")
     if m < 1:
         raise ConfigError("codeword length must be at least 1")
     n = 2 ** bits
     w = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
-    return Codebook(vectors=_normalize_columns(w), bits=bits, kind=KIND_RVQ)
+    return _unit_columns(w)
 
 
-def correlate_codebook(codebook: Codebook, s: np.ndarray) -> Codebook:
+def correlate_codewords(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Shape isotropic codewords with the channel correlation factor S.
 
     Columns become S w_j, renormalized, so codeword statistics match the
     CN(0, R) channel they will quantize.
     """
     s = np.asarray(s)
-    if s.shape[1] != codebook.vectors.shape[0]:
+    if s.shape[1] != w.shape[0]:
         raise ConfigError("correlation factor and codebook dimensions differ")
-    w = _normalize_columns(s @ codebook.vectors)
-    return Codebook(vectors=w, bits=codebook.bits, kind=KIND_RVQ_CORRELATED,
-                    user_angle_deg=codebook.user_angle_deg)
+    return _unit_columns(s @ w)
 
 
-def generate_mvcq(codebook: Codebook, a: np.ndarray,
-                  user_angle_deg: float | None = None) -> Codebook:
-    """Carry the lens power profile into a correlated codebook.
+def weight_codewords(w: np.ndarray, root_a: np.ndarray) -> np.ndarray:
+    """Carry the lens power profile a into correlated codewords (MVCQ).
 
-    Each codeword entry is scaled by sqrt(a_m), matching the per-antenna
-    variance of the lens channel, then the column is renormalized.
+    Each codeword entry is scaled by root_a[m] = sqrt(a_m), matching the
+    per-antenna variance of the lens channel, then the column is renormalized.
     """
-    if codebook.kind != KIND_RVQ_CORRELATED:
-        raise ConfigError("variance shaping expects a correlated codebook")
-    a = np.asarray(a, dtype=float)
-    if a.shape[0] != codebook.vectors.shape[0]:
+    root_a = np.asarray(root_a, dtype=float)
+    if root_a.shape != (w.shape[0],):
         raise ConfigError("profile length and codeword length differ")
-    if np.any(a < 0):
-        raise DomainError("power profile has negative entries")
-    w = _normalize_columns(np.sqrt(a)[:, None] * codebook.vectors)
-    return Codebook(vectors=w, bits=codebook.bits, kind=KIND_MVCQ,
-                    user_angle_deg=user_angle_deg)
+    if np.any(root_a < 0):
+        raise DomainError("profile root has negative entries")
+    return _unit_columns(root_a[:, None] * w)
 
 
-def quantize(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
-    """Pick the codeword with the largest |h* c_j|; ties go to the lowest index."""
-    if h.shape[0] != codebook.vectors.shape[0]:
+def select_codeword(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The column w_j with the largest |h* w_j|; ties go to the lowest index."""
+    if h.shape[0] != w.shape[0]:
         raise ConfigError("channel and codeword lengths differ")
-    if np.linalg.norm(h) == 0:
+    if not np.any(h):
         raise DomainError("cannot quantize a zero channel")
-    metric = np.abs(h.conj() @ codebook.vectors)
-    j = int(np.argmax(metric))
-    return QuantizationResult(index=j, direction=codebook.vectors[:, j])
+    return w[:, np.argmax(np.abs(h.conj() @ w))]
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +190,3 @@ def gaussian_profile(theta_deg: float, model: GaussianProfileModel,
     if total <= 0:
         raise DomainError("gaussian profile evaluated to zero everywhere")
     return a * (array.num_antennas / total)
-
-
-def approx_sinr(psi: np.ndarray, h: np.ndarray, f: np.ndarray, p_t: float) -> np.ndarray:
-    """Power-correlation-weighted SINR estimate.
-
-    SINR_k ~ (P/K) Psi_kk |h_k^T f_k|^2 / ((P/K) sum_j Psi_kj |h_k^T f_j|^2 + 1)
-    with unit-normalized precoder columns; the Psi weights down-rate
-    interference between users the lens separates spatially.
-    """
-    psi = np.asarray(psi, dtype=float)
-    h = np.atleast_2d(h)
-    f = np.asarray(f)
-    k = h.shape[0]
-    if psi.shape != (k, k) or f.shape[1] != k:
-        raise ConfigError("dimension mismatch between Psi, channels, and precoder")
-    norms = np.linalg.norm(f, axis=0)
-    if np.any(norms == 0):
-        raise DomainError("precoder has a zero column")
-    t2 = np.abs(h @ (f / norms)) ** 2
-    scale = p_t / k
-    sig = scale * np.diag(psi) * np.diag(t2)
-    interf = scale * (np.sum(psi * t2, axis=1) - np.diag(psi * t2))
-    return sig / (interf + 1.0)

@@ -2,8 +2,8 @@
 
 Signal model (transposed convention, no conjugation on the channel):
 y_k = sqrt(P) h_k^T sum_j g_j s_j + n_k with unit-variance noise, so the
-transmit power in dB doubles as the SNR axis. Precoders are built from
-fed-back unit-norm channel directions only.
+transmit power in dB doubles as the SNR axis. Precoders are built only from
+the directions users feed back, chosen by feedback's codebook functions.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import numpy as np
 from .channel import (UserConfig, apply_lens, correlation_matrix, draw_channel,
                       matrix_sqrt)
 from .errors import ConfigError, DomainError, LensMimoError
-from .feedback import (GaussianProfileModel, _normalize_columns, correlate_codebook,
-                       fit_gaussian_model, gaussian_profile, generate_rvq)
+from .feedback import (GaussianProfileModel, correlate_codewords, fit_gaussian_model,
+                       gaussian_profile, random_codebook, select_codeword,
+                       weight_codewords)
 from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
 
 COND_LIMIT = 1e12
@@ -143,7 +144,7 @@ class ScenarioConfig:
     def flat_items(self) -> list[tuple[str, object]]:
         """Key-value echo of the complete effective configuration."""
         lens, array, grid = self.lens, self.array, self.grid
-        items: list[tuple[str, object]] = [
+        return [
             ("scenario", self.name),
             ("num_antennas", array.num_antennas),
             ("num_users", self.num_users),
@@ -165,7 +166,6 @@ class ScenarioConfig:
             ("trials", self.trials),
             ("seed", self.seed),
         ]
-        return items
 
 
 def _coherence_pair(h_hat: np.ndarray) -> tuple[int, int]:
@@ -300,14 +300,14 @@ def _fill_cell(cfg: ScenarioConfig, factors: list[np.ndarray],
 
     The substream is keyed by (snr index, trial index) so results do not
     depend on execution order; channels are drawn before codebooks so every
-    quantizer sees the same realizations. The correlated codebook S W is
-    formed once per user and shared by rvq_corr and every mvcq token.
+    quantizer sees the same realizations. Per user, S W (correlate_codewords)
+    is formed once and shared by rvq_corr and every mvcq token.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
     h = np.stack([draw_channel(s, rng) for s in factors])
     if lens_roots is not None:
         h = lens_roots * h
-    bases = [generate_rvq(cfg.array.num_antennas, cfg.bits, rng) for _ in factors]
+    bases = [random_codebook(cfg.array.num_antennas, cfg.bits, rng) for _ in factors]
     correlated = None
 
     p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
@@ -315,18 +315,15 @@ def _fill_cell(cfg: ScenarioConfig, factors: list[np.ndarray],
         if kind == "full":
             h_hat = h / np.linalg.norm(h, axis=1, keepdims=True)
         else:
-            books = [b.vectors for b in bases]
+            books = bases
             if kind != "rvq":
                 if correlated is None:
-                    correlated = [correlate_codebook(b, s).vectors
-                                  for b, s in zip(bases, factors)]
+                    correlated = [correlate_codewords(w, s)
+                                  for w, s in zip(bases, factors)]
                 books = correlated
             if kind == "mvcq":
-                books = [_normalize_columns(r[:, None] * w)
-                         for r, w in zip(roots[token], books)]
-            # the codeword with the largest |h* c_j|; ties go to the lowest index
-            h_hat = np.stack([w[:, np.argmax(np.abs(hu.conj() @ w))]
-                              for hu, w in zip(h, books)])
+                books = [weight_codewords(w, r) for w, r in zip(books, roots[token])]
+            h_hat = np.stack([select_codeword(hu, w) for hu, w in zip(h, books)])
         for prec in cfg.precoders:
             try:
                 p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)

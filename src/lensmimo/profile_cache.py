@@ -16,7 +16,8 @@ from .errors import ConfigError, DomainError
 from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
 
 DEFAULT_SWEEP_DEG = (-30.0, 30.0, 0.5)
-DEFAULT_MAX_GAP_DEG = 0.5
+# widest angle gap a lookup bridges: the default sweep's step
+MAX_GAP_DEG = 0.5
 
 
 def cache_params(lens: LensSpec, grid: PropagationGrid, array: ArraySpec) -> dict:
@@ -55,13 +56,13 @@ class ProfileTable:
     def digest(self) -> str:
         return params_digest(self.params)
 
-    def lookup(self, aod_deg: float, max_gap_deg: float = DEFAULT_MAX_GAP_DEG) -> np.ndarray:
-        """Profile at the nearest swept angle, refusing gaps beyond max_gap_deg."""
+    def lookup(self, aod_deg: float) -> np.ndarray:
+        """Profile at the nearest swept angle, refusing gaps beyond MAX_GAP_DEG."""
         i = int(np.argmin(np.abs(self.aods_deg - aod_deg)))
         gap = abs(float(self.aods_deg[i]) - aod_deg)
-        if gap > max_gap_deg:
+        if gap > MAX_GAP_DEG:
             raise DomainError(
-                f"no cached profile within {max_gap_deg} deg of {aod_deg} deg "
+                f"no cached profile within {MAX_GAP_DEG} deg of {aod_deg} deg "
                 f"(nearest swept angle is {self.aods_deg[i]} deg)")
         return self.profiles[i]
 

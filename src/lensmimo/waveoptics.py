@@ -21,6 +21,8 @@ from .errors import ConfigError, DomainError
 
 # wavenumber of the carrier, 2 pi over one wavelength (the unit of length)
 KAPPA = 2.0 * np.pi
+# transverse sample limit: one complex field row stays within 16 MB
+MAX_SAMPLES = 2 ** 20
 
 
 def _positive(value: float) -> bool:
@@ -32,8 +34,8 @@ class PropagationGrid:
     """Uniform sampling of the propagation window.
 
     dx, dz are the transverse and axial steps, window the full transverse
-    extent. The window must hold an even integer number (at least 2) of
-    samples so the FFT grid is symmetric about the axis.
+    extent. The window must hold an even integer number (at least 2, at
+    most MAX_SAMPLES) of samples so the FFT grid is symmetric about the axis.
     """
 
     dx: float = 0.0625
@@ -45,6 +47,9 @@ class PropagationGrid:
             if not _positive(getattr(self, name)):
                 raise ConfigError(f"grid parameter {name} must be positive and finite")
         ratio = self.window / self.dx
+        if not ratio <= MAX_SAMPLES:
+            raise ConfigError(f"window / dx = {ratio:.3g} transverse samples exceeds "
+                              f"the limit of {MAX_SAMPLES}")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError(
                 f"window {self.window} is not an integer multiple of dx {self.dx}")

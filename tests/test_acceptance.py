@@ -12,10 +12,10 @@ from scipy.integrate import quad
 
 from lensmimo import (ArraySpec, LensSpec, PropagationGrid, ScenarioConfig,
                       UserConfig, antenna_power_profile, correlation_matrix,
-                      find_focal_peak, generate_rvq, laplacian_pas,
-                      lens_phase_profile, matrix_sqrt,
-                      power_correlation_matrix, propagate, quantize,
-                      run_monte_carlo, zf_precoder)
+                      find_focal_peak, laplacian_pas, lens_phase_profile,
+                      matrix_sqrt, power_correlation_matrix, propagate,
+                      random_codebook, run_monte_carlo, select_codeword,
+                      zf_precoder)
 from lensmimo.cli import EXIT_OK, main
 
 
@@ -101,13 +101,12 @@ def test_small_instance_oracles():
     zf_err = float(np.max(np.abs(
         zf_precoder(h).columns - h.conj().T @ np.linalg.inv(h @ h.conj().T))))
 
-    cb = generate_rvq(4, 4, rng)
+    cb = random_codebook(4, 4, rng)
     mismatches = 0
     for _ in range(100):
         ch = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        ref = int(np.argmax([abs(np.vdot(ch, cb.vectors[:, j]))
-                             for j in range(16)]))
-        mismatches += int(quantize(ch, cb).index != ref)
+        ref = int(np.argmax([abs(np.vdot(ch, cb[:, j])) for j in range(16)]))
+        mismatches += int(not np.array_equal(select_codeword(ch, cb), cb[:, ref]))
 
     def quad_corr(theta_deg, sigma_deg, lag):
         sig = np.radians(sigma_deg)

@@ -105,6 +105,19 @@ def test_correlation_rejects_bad_args():
             UserConfig(angle, sigma)
 
 
+@pytest.mark.filterwarnings("error")
+def test_correlation_rejects_non_finite_spread():
+    """A spread whose square overflows gives a non-finite R: a DomainError
+    naming the spread, and no numpy warning on the way there. A huge spread
+    that only overflows the denominators leaves a finite, decorrelated R."""
+    with pytest.raises(DomainError, match="spread 1e\\+200 deg"):
+        correlation_matrix(UserConfig(0.0, 1e200), 8)
+    r = correlation_matrix(UserConfig(10.0, 7e154), 64)
+    assert np.all(np.isfinite(r))
+    assert np.array_equal(np.diag(r), np.ones(64))
+    assert np.abs(r[0, -1]) == 0.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(theta=st.floats(-30.0, 30.0), sigma=st.floats(1.0, 30.0),
        m=st.integers(2, 12))

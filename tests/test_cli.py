@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from lensmimo import linklevel
 from lensmimo.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main,
                           parse_config)
 from lensmimo.linklevel import SimResult, render_csv
@@ -217,6 +218,44 @@ def test_rejected_input_writes_nothing(tmp_path, capsys, edits, extra, code):
     assert rc == code
     assert ("configuration error" if code == EXIT_CONFIG else "numerical error") \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("precoder", ["zf", "mrt"])
+def test_non_finite_correlation_fails_before_any_cell(tmp_path, capsys,
+                                                      monkeypatch, precoder):
+    """sigma^2 overflows: exit 3 at set-up, naming the spread, with no
+    numpy warning, no Monte-Carlo cell drawn and nothing written."""
+    def no_cell(*args):
+        raise AssertionError("a Monte-Carlo cell ran")
+    monkeypatch.setattr(linklevel, "_fill_cell", no_cell)
+    p = _small_ini(tmp_path / "wide.ini", {"scenario": {"precoders": precoder},
+                                            "users": {"sigma": "1e200"}})
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(p), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DOMAIN
+    assert err.splitlines() == [
+        "numerical error: angular spread 1e+200 deg gives a non-finite "
+        "correlation matrix"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("lens-profile", "grid", "dx", "1e-300"),
+    ("lens-profile", "grid", "window", "1e200"),
+    ("bpm-field", "grid", "dz", "1e-300"),
+], ids=["dx", "window", "bpm_dz"])
+def test_allocation_size_inputs_exit_config(tmp_path, capsys, command, section,
+                                            key, value):
+    """Grids too large for numpy to allocate are rejected by their size,
+    not by a traceback from inside numpy."""
+    p = _small_ini(tmp_path / "huge.ini", {section: {key: value}})
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(p), "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "limit" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,10 +10,9 @@ from scipy.special import beta
 
 from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec,
                       PropagationGrid, UserConfig, antenna_power_profile,
-                      approx_sinr, correlate_codebook, correlation_matrix,
-                      fit_gaussian_model, gaussian_profile, generate_mvcq,
-                      generate_rvq, matrix_sqrt, mrt_precoder, quantize,
-                      received_sinr)
+                      correlate_codewords, correlation_matrix,
+                      fit_gaussian_model, gaussian_profile, matrix_sqrt,
+                      random_codebook, select_codeword, weight_codewords)
 
 
 def _batch_normalize(w):
@@ -29,20 +28,19 @@ def _batch_draw(rng, shape):
 
 
 def test_rvq_columns_unit_norm_and_deterministic():
-    cb1 = generate_rvq(64, 6, np.random.default_rng(42))
-    cb2 = generate_rvq(64, 6, np.random.default_rng(42))
-    assert cb1.vectors.shape == (64, 64)
-    assert np.allclose(np.linalg.norm(cb1.vectors, axis=0), 1.0, atol=1e-12)
-    assert np.array_equal(cb1.vectors, cb2.vectors)
-    assert cb1.kind == "rvq"
+    cb1 = random_codebook(64, 6, np.random.default_rng(42))
+    cb2 = random_codebook(64, 6, np.random.default_rng(42))
+    assert cb1.shape == (64, 64)
+    assert np.allclose(np.linalg.norm(cb1, axis=0), 1.0, atol=1e-12)
+    assert np.array_equal(cb1, cb2)
 
 
 def test_rvq_isotropy_oracle():
     """Independent isotropic unit vectors satisfy E|<c_i, c_j>|^2 = 1/M."""
     m, vals = 64, []
     for seed in (1, 2, 3):
-        cb = generate_rvq(m, 6, np.random.default_rng(seed))
-        gram = np.abs(cb.vectors.conj().T @ cb.vectors) ** 2
+        cb = random_codebook(m, 6, np.random.default_rng(seed))
+        gram = np.abs(cb.conj().T @ cb) ** 2
         off = gram[~np.eye(gram.shape[0], dtype=bool)]
         vals.append(off.mean())
     mean = np.mean(vals)
@@ -52,33 +50,32 @@ def test_rvq_isotropy_oracle():
 def test_rvq_rejects_bad_sizes():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        generate_rvq(8, 0, rng)
+        random_codebook(8, 0, rng)
     with pytest.raises(ConfigError):
-        generate_rvq(8, 17, rng)
+        random_codebook(8, 17, rng)
     with pytest.raises(ConfigError):
-        generate_rvq(0, 4, rng)
+        random_codebook(0, 4, rng)
 
 
 def test_correlate_identity_is_noop():
-    cb = generate_rvq(16, 4, np.random.default_rng(5))
-    out = correlate_codebook(cb, np.eye(16))
-    assert np.allclose(out.vectors, cb.vectors, atol=1e-12)
-    assert out.kind == "rvq_correlated"
+    cb = random_codebook(16, 4, np.random.default_rng(5))
+    out = correlate_codewords(cb, np.eye(16))
+    assert np.allclose(out, cb, atol=1e-12)
 
 
 def test_correlate_rank_one_collapses_directions():
     """Fully correlated factor (zero spacing limit) leaves collinear codewords."""
     m = 8
     s = matrix_sqrt(np.ones((m, m), dtype=complex))
-    cb = correlate_codebook(generate_rvq(m, 4, np.random.default_rng(9)), s)
-    gram = np.abs(cb.vectors.conj().T @ cb.vectors)
+    cb = correlate_codewords(random_codebook(m, 4, np.random.default_rng(9)), s)
+    gram = np.abs(cb.conj().T @ cb)
     assert np.allclose(gram, 1.0, atol=1e-9)
 
 
 def test_correlate_rejects_dimension_mismatch():
-    cb = generate_rvq(8, 3, np.random.default_rng(0))
+    cb = random_codebook(8, 3, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        correlate_codebook(cb, np.eye(10))
+        correlate_codewords(cb, np.eye(10))
 
 
 def test_correlated_codebook_quantizes_better():
@@ -108,19 +105,20 @@ def test_correlated_codebook_quantizes_better():
 def test_mvcq_all_ones_profile_degenerates():
     m = 16
     s = matrix_sqrt(correlation_matrix(UserConfig(0.0, 5.0), m))
-    corr = correlate_codebook(generate_rvq(m, 4, np.random.default_rng(3)), s)
-    mv = generate_mvcq(corr, np.ones(m))
-    assert np.allclose(mv.vectors, corr.vectors, atol=1e-12)
-    assert mv.kind == "mvcq"
+    corr = correlate_codewords(random_codebook(m, 4, np.random.default_rng(3)), s)
+    mv = weight_codewords(corr, np.ones(m))
+    assert np.allclose(mv, corr, atol=1e-12)
 
 
 def test_mvcq_entries_scale_with_profile():
     """Before renormalization, |w''_m|^2 = a_m |w'_m|^2 entry for entry."""
     m = 16
-    corr = correlate_codebook(generate_rvq(m, 4, np.random.default_rng(4)), np.eye(m))
+    corr = correlate_codewords(random_codebook(m, 4, np.random.default_rng(4)),
+                               np.eye(m))
     a = np.random.default_rng(5).random(m) * 2.0
-    unnorm = np.sqrt(a)[:, None] * corr.vectors
-    assert np.allclose(np.abs(unnorm) ** 2, a[:, None] * np.abs(corr.vectors) ** 2)
+    mv = weight_codewords(corr, np.sqrt(a))
+    unnorm = mv * np.linalg.norm(np.sqrt(a)[:, None] * corr, axis=0)
+    assert np.allclose(np.abs(unnorm) ** 2, a[:, None] * np.abs(corr) ** 2)
 
 
 def test_mvcq_concentrates_on_dominant_cell():
@@ -129,22 +127,19 @@ def test_mvcq_concentrates_on_dominant_cell():
     a = np.full(m, 8.0 / 63.0)
     a[40] = 56.0
     s = matrix_sqrt(correlation_matrix(UserConfig(0.0, 5.0), m))
-    corr = correlate_codebook(generate_rvq(m, 6, np.random.default_rng(12)), s)
-    mv = generate_mvcq(corr, a)
-    assert np.mean(np.abs(mv.vectors[40]) ** 2) > 0.5
+    corr = correlate_codewords(random_codebook(m, 6, np.random.default_rng(12)), s)
+    mv = weight_codewords(corr, np.sqrt(a))
+    assert np.mean(np.abs(mv[40]) ** 2) > 0.5
 
 
 def test_mvcq_rejects_bad_inputs():
     m = 8
     rng = np.random.default_rng(1)
-    plain = generate_rvq(m, 3, rng)
-    with pytest.raises(ConfigError):
-        generate_mvcq(plain, np.ones(m))          # must be correlated first
-    corr = correlate_codebook(plain, np.eye(m))
+    corr = correlate_codewords(random_codebook(m, 3, rng), np.eye(m))
     with pytest.raises(DomainError):
-        generate_mvcq(corr, -np.ones(m))
+        weight_codewords(corr, -np.ones(m))
     with pytest.raises(ConfigError):
-        generate_mvcq(corr, np.ones(m + 1))
+        weight_codewords(corr, np.ones(m + 1))
 
 
 def test_alignment_ordering_across_constructions(profile_set):
@@ -185,17 +180,15 @@ def test_alignment_ordering_across_constructions(profile_set):
 def test_quantize_matches_brute_force():
     m, bits = 4, 4
     rng = np.random.default_rng(13)
-    cb = generate_rvq(m, bits, rng)
+    cb = random_codebook(m, bits, rng)
     for _ in range(200):
         h = _batch_draw(rng, (m,))
         best, best_val = 0, -1.0
         for j in range(2 ** bits):
-            val = abs(np.vdot(h, cb.vectors[:, j]))   # vdot conjugates h
+            val = abs(np.vdot(h, cb[:, j]))   # vdot conjugates h
             if val > best_val:
                 best, best_val = j, val
-        res = quantize(h, cb)
-        assert res.index == best
-        assert np.array_equal(res.direction, cb.vectors[:, best])
+        assert np.array_equal(select_codeword(h, cb), cb[:, best])
 
 
 def test_rvq_quantization_error_oracle():
@@ -206,7 +199,7 @@ def test_rvq_quantization_error_oracle():
     err = np.empty(draws)
     for i in range(draws):
         h = _batch_draw(rng, (m,))
-        c = quantize(h, generate_rvq(m, bits, rng)).direction
+        c = select_codeword(h, random_codebook(m, bits, rng))
         err[i] = 1.0 - abs(np.vdot(h / np.linalg.norm(h), c)) ** 2
     expected = 2 ** bits * beta(2 ** bits, m / (m - 1))
     se = err.std(ddof=1) / np.sqrt(draws)
@@ -215,11 +208,11 @@ def test_rvq_quantization_error_oracle():
 
 def test_quantize_perfect_codeword():
     rng = np.random.default_rng(21)
-    cb = generate_rvq(8, 4, rng)
-    h = 3.0 * cb.vectors[:, 11]
-    res = quantize(h, cb)
-    assert res.index == 11
-    assert abs(np.vdot(h, res.direction)) == pytest.approx(3.0)
+    cb = random_codebook(8, 4, rng)
+    h = 3.0 * cb[:, 11]
+    c = select_codeword(h, cb)
+    assert np.array_equal(c, cb[:, 11])
+    assert abs(np.vdot(h, c)) == pytest.approx(3.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -227,9 +220,9 @@ def test_quantize_perfect_codeword():
                                 allow_nan=False, allow_infinity=False))
 def test_quantize_scale_and_phase_invariant(scale):
     rng = np.random.default_rng(33)
-    cb = generate_rvq(8, 4, rng)
+    cb = random_codebook(8, 4, rng)
     h = _batch_draw(rng, (8,))
-    assert quantize(h, cb).index == quantize(scale * h, cb).index
+    assert np.array_equal(select_codeword(h, cb), select_codeword(scale * h, cb))
 
 
 def test_quantize_tie_breaks_low_index():
@@ -238,17 +231,14 @@ def test_quantize_tie_breaks_low_index():
     vecs[0, 1] = 1j          # same metric as column 0 for this channel
     vecs[1, 2] = 1.0
     vecs[2, 3] = 1.0
-    cb_vectors = vecs
-    from lensmimo import Codebook
-    cb = Codebook(vectors=cb_vectors, bits=2, kind="rvq")
     h = np.array([1.0 + 0j, 0.0, 0.0, 0.0])
-    assert quantize(h, cb).index == 0
+    assert np.array_equal(select_codeword(h, vecs), vecs[:, 0])
 
 
 def test_quantize_rejects_zero_channel():
-    cb = generate_rvq(4, 2, np.random.default_rng(0))
+    cb = random_codebook(4, 2, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        quantize(np.zeros(4, dtype=complex), cb)
+        select_codeword(np.zeros(4, dtype=complex), cb)
 
 
 # ---------------------------------------------------------------------------
@@ -385,63 +375,3 @@ def test_sub_bpm_degradation_monotone(lens, grid):
 def test_sub_bpm_oversized_stride_errors(lens, grid, array):
     with pytest.raises(DomainError):
         antenna_power_profile(lens, grid, array, 0.0, stride=30)
-
-
-# ---------------------------------------------------------------------------
-# approximate SINR
-
-
-def test_approx_sinr_all_ones_reduces_to_exact():
-    rng = np.random.default_rng(8)
-    k, m = 3, 16
-    h = _batch_draw(rng, (k, m))
-    prec = mrt_precoder(h / np.linalg.norm(h, axis=1, keepdims=True))
-    p_t = 10.0
-    approx = approx_sinr(np.ones((k, k)), h, prec.columns, p_t)
-    exact = received_sinr(h, prec.normalized, p_t)
-    assert np.allclose(approx, exact, rtol=1e-12)
-
-
-def test_approx_sinr_weakly_increases_with_separation():
-    rng = np.random.default_rng(9)
-    k, m = 3, 16
-    h = _batch_draw(rng, (k, m))
-    f = _batch_draw(rng, (m, k))
-    psi = np.full((k, k), 0.4)
-    np.fill_diagonal(psi, 1.0)
-    hi = approx_sinr(psi, h, f, 5.0)
-    lo = approx_sinr(np.ones((k, k)), h, f, 5.0)
-    assert np.all(hi >= lo)
-
-
-def test_approx_sinr_orders_users_like_exact(profile_set):
-    """Two users at the sector edges: the estimate agrees with the exact
-    SINR on which user is better off in at least 90% of trials."""
-    m, bits, trials = 64, 6, 1000
-    angles = (-15.0, 15.0)
-    profs = np.stack([profile_set[a] for a in angles])
-    psi = (np.sqrt(profs) @ np.sqrt(profs).T) / m
-    factors = [matrix_sqrt(correlation_matrix(UserConfig(a, 5.0), m))
-               for a in angles]
-    root_a = np.sqrt(profs)
-    rng = np.random.default_rng(31)
-    agree = 0
-    for _ in range(trials):
-        h = np.stack([s @ _batch_draw(rng, (m,)) for s in factors])
-        ht = root_a * h
-        rows = []
-        for u in range(2):
-            cb = generate_mvcq(
-                correlate_codebook(generate_rvq(m, bits, rng), factors[u]),
-                profs[u])
-            rows.append(quantize(ht[u], cb).direction)
-        prec = mrt_precoder(np.stack(rows))
-        exact = received_sinr(ht, prec.normalized, 10.0)
-        approx = approx_sinr(psi, ht, prec.columns, 10.0)
-        agree += int(np.argmax(exact) == np.argmax(approx))
-    assert agree / trials >= 0.9
-
-
-def test_approx_sinr_rejects_mismatched_shapes():
-    with pytest.raises(ConfigError):
-        approx_sinr(np.ones((2, 2)), np.ones((3, 4)), np.ones((4, 3)), 1.0)

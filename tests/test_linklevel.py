@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from lensmimo import (ArraySpec, ConfigError, DomainError, ScenarioConfig, UserConfig,
-                      antenna_power_profile, apply_lens, correlate_codebook, correlation_matrix,
-                      draw_channel, generate_mvcq, generate_rvq, matrix_sqrt,
-                      mrt_precoder, parse_quantizer, quantize, received_sinr,
-                      run_monte_carlo, sum_rate, zf_precoder)
+                      antenna_power_profile, apply_lens, correlation_matrix,
+                      draw_channel, matrix_sqrt, mrt_precoder, parse_quantizer,
+                      received_sinr, run_monte_carlo, sum_rate, zf_precoder)
 from lensmimo import linklevel
 from lensmimo.linklevel import (build_scenario_profiles, render_comparison,
                                 render_csv)
@@ -245,16 +244,21 @@ def test_monte_carlo_trial_prefix_is_stable():
         assert np.array_equal(long.rates[combo][:, :5], short.rates[combo])
 
 
+def _unit_columns(w):
+    return w / np.linalg.norm(w, axis=0)
+
+
 def _reference_cell_rates(cfg, profiles, factors, si, ti):
-    """One Monte-Carlo cell built user by user from the public functions."""
-    k = cfg.num_users
+    """One Monte-Carlo cell built user by user: channels and precoders from
+    the public functions, codebooks and their selection in plain numpy."""
+    k, m, n = cfg.num_users, cfg.array.num_antennas, 2 ** cfg.bits
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
     h = np.stack([draw_channel(s, rng) for s in factors])
     if profiles.channel is not None:
         h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
     else:
         h_true = h
-    bases = [generate_rvq(cfg.array.num_antennas, cfg.bits, rng) for _ in range(k)]
+    bases = [_unit_columns(_draw(rng, (m, n))) for _ in range(k)]
 
     p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
     out = {}
@@ -267,11 +271,11 @@ def _reference_cell_rates(cfg, profiles, factors, si, ti):
             for u in range(k):
                 cb = bases[u]
                 if kind in ("rvq_corr", "mvcq"):
-                    cb = correlate_codebook(cb, factors[u])
+                    cb = _unit_columns(factors[u] @ cb)
                 if kind == "mvcq":
-                    cb = generate_mvcq(cb, profiles.codebook[token][u],
-                                       user_angle_deg=cfg.users[u].angle_deg)
-                rows.append(quantize(h_true[u], cb).direction)
+                    root_a = np.sqrt(profiles.codebook[token][u])
+                    cb = _unit_columns(root_a[:, None] * cb)
+                rows.append(cb[:, np.argmax(np.abs(h_true[u].conj() @ cb))])
             h_hat = np.stack(rows)
         for prec in cfg.precoders:
             p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)

@@ -77,7 +77,6 @@ def test_lookup_nearest_and_gap(table):
     assert np.array_equal(table.lookup(0.0), table.profiles[2])
     with pytest.raises(DomainError, match="nearest swept angle"):
         table.lookup(5.5)          # 2.5 deg from the closest entry
-    table.lookup(5.5, max_gap_deg=3.0)
 
 
 def test_sector_edges_build_cleanly(lens, array):

@@ -93,6 +93,9 @@ def test_grid_validation():
         PropagationGrid(dx=1.0, window=81.0)      # odd sample count
     with pytest.raises(ConfigError, match="at least 2"):
         PropagationGrid(dx=1e200)                 # no sample at all
+    for huge in (dict(dx=1e-300), dict(window=1e200), dict(dx=1e-300, window=1e300)):
+        with pytest.raises(ConfigError, match="limit"):
+            PropagationGrid(**huge)               # more samples than numpy can hold
     for bad in (np.nan, np.inf):
         with pytest.raises(ConfigError, match="finite"):
             PropagationGrid(dz=bad)
