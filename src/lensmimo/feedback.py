@@ -4,7 +4,8 @@ Codebooks are (m, 2^bits) arrays of unit codeword columns: isotropic random
 ones (RVQ), shaped by the channel's correlation square root and then by the
 lens power profile (MVCQ); a user feeds back the best-aligned column. Also
 the cheap profile estimator: a Gaussian model of the focused spot, fitted to
-propagated profiles and interpolated across angle.
+propagated profiles and interpolated across angle; it alone needs SciPy,
+which it imports on first use so that nothing else pays for loading it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import curve_fit
 
 from .errors import ConfigError, DomainError
 from .waveoptics import ArraySpec, LensSpec
@@ -107,6 +106,8 @@ class GaussianProfileModel:
 
     def __post_init__(self):
         if self._splines is None:
+            # imported here so that code without a spot model never loads SciPy
+            from scipy.interpolate import PchipInterpolator
             self._splines = tuple(
                 PchipInterpolator(self.anchors_deg, vals)
                 for vals in (self.p, self.q, self.r))
@@ -129,6 +130,8 @@ def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
     20% of the profile peak are flagged (the spot is no longer unimodal
     enough for the model to be trusted there).
     """
+    # imported here so that code without a spot model never loads SciPy
+    from scipy.optimize import curve_fit
     if len(profiles) < 5:
         raise ConfigError("gaussian fit needs at least five anchor angles")
     y = antenna_coordinates(lens, array)

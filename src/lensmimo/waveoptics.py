@@ -276,7 +276,11 @@ def antenna_power_profile(lens: LensSpec, grid: PropagationGrid, array: ArraySpe
     if stride < 1:
         raise ConfigError("stride must be a positive integer")
     step = stride * grid.dz
-    n_steps = int(np.floor(array.lens_distance / step + 1e-9))
+    ratio = array.lens_distance / step
+    if not np.isfinite(ratio):
+        raise ConfigError(f"axial step {step} is below the float limit for the "
+                          f"lens-to-array distance {array.lens_distance}")
+    n_steps = int(np.floor(ratio + 1e-9))
     if n_steps < 1:
         raise DomainError(
             f"axial step {step} exceeds the lens-to-array distance "

@@ -1,6 +1,10 @@
 """Scenario parsing, subcommands, exit codes, and output reproducibility."""
 
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +14,8 @@ from lensmimo.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main,
                           parse_config)
 from lensmimo.linklevel import SimResult, render_csv
 
-SCENARIOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "scenarios")
-                   .glob("*.ini"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.ini"))
 
 SMALL = """\
 [scenario]
@@ -246,11 +250,13 @@ def test_non_finite_correlation_fails_before_any_cell(tmp_path, capsys,
     ("lens-profile", "grid", "dx", "1e-300"),
     ("lens-profile", "grid", "window", "1e200"),
     ("bpm-field", "grid", "dz", "1e-300"),
-], ids=["dx", "window", "bpm_dz"])
+    ("lens-profile", "grid", "dz", "1e-320"),
+], ids=["dx", "window", "bpm_dz", "profile_dz"])
 def test_allocation_size_inputs_exit_config(tmp_path, capsys, command, section,
                                             key, value):
-    """Grids too large for numpy to allocate are rejected by their size,
-    not by a traceback from inside numpy."""
+    """Grids too large for numpy to allocate, or axial steps too fine to
+    count in a float, are rejected as configuration errors, not by a
+    traceback."""
     p = _small_ini(tmp_path / "huge.ini", {section: {key: value}})
     out = tmp_path / "out"
     rc = main([command, "--config", str(p), "--out-dir", str(out)])
@@ -452,3 +458,35 @@ def test_fit_gaussian_writes_parameter_table(ini_dir, tmp_path):
     data = [ln for ln in lines if not ln.startswith(("#", "theta_deg"))]
     assert len(data) == 13                     # -30..30 deg, five-degree anchors
     assert data[0].split(",")[0] == "-30.0"
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+COLD_START = """\
+import json, sys
+from lensmimo.cli import main
+ini, out = sys.argv[1:]
+codes = [main([*argv, "--config", ini]) for argv in (
+    ["lens-profile", "--cache-dir", out],
+    ["bpm-field", "--out-dir", out],
+    ["simulate", "--out-dir", out, "--cache-dir", out, "--no-build"])]
+scipy = sorted({"scipy.optimize", "scipy.interpolate", "scipy.special"} & set(sys.modules))
+fit = main(["fit-gaussian", "--config", ini, "--out-dir", out])
+print(json.dumps({"codes": codes, "scipy": scipy, "fit": fit}))
+"""
+
+
+def test_commands_without_a_spot_model_never_load_scipy(ini_dir, tmp_path):
+    """A fresh process runs lens-profile, bpm-field and simulate (mvcq, rvq)
+    without importing SciPy's optimizer, interpolators or special
+    functions; fit-gaussian still loads them and succeeds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(ini_dir / "small.ini"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK] * 3, "scipy": [], "fit": EXIT_OK}
