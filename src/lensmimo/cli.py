@@ -140,7 +140,6 @@ def cmd_lens_profile(args: argparse.Namespace) -> int:
     cfg = _load(args, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
     table = profile_cache.build_profile_table(lens, grid, array)
-    os.makedirs(args.cache_dir, exist_ok=True)
     path = _cache_path(args, table.params)
     profile_cache.write_profile_table(path, table)
     print(f"wrote {table.aods_deg.size} profiles to {path}")
@@ -163,24 +162,16 @@ def cmd_bpm_field(args: argparse.Namespace) -> int:
     z_peak, gain = waveoptics.find_focal_peak(hist, lens, array)
 
     inten = np.abs(hist.fields) ** 2 / np.abs(hist.fields[0]).max() ** 2
-    os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(
         args.out_dir,
         f"field_f{lens.focal_length:g}_aod{args.aod:g}.csv")
-    with open(path, "w") as fh:
-        for key, val in (("focal_length", lens.focal_length),
-                         ("aperture", lens.aperture),
-                         ("epsilon_r", lens.epsilon_r),
-                         ("dx", grid.dx), ("dz", grid.dz),
-                         ("window", grid.window),
-                         ("aod_deg", args.aod),
-                         ("rows_transverse", grid.num_samples),
-                         ("cols_axial", steps + 1),
-                         ("peak_distance", z_peak),
-                         ("peak_gain_per_cell", gain)):
-            fh.write(f"# {key} = {val!r}\n")
-        for row in inten.T:     # one row per transverse sample after transpose
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    header = [("focal_length", lens.focal_length), ("aperture", lens.aperture),
+              ("epsilon_r", lens.epsilon_r), ("dx", grid.dx), ("dz", grid.dz),
+              ("window", grid.window), ("aod_deg", args.aod),
+              ("rows_transverse", grid.num_samples), ("cols_axial", steps + 1),
+              ("peak_distance", z_peak), ("peak_gain_per_cell", gain)]
+    # one row per transverse sample after transpose
+    profile_cache.write_table(path, header, None, (row.tolist() for row in inten.T))
     print(f"peak at z = {z_peak!r} wavelengths, "
           f"gain {gain!r} per antenna cell; field written to {path}")
     return EXIT_OK
@@ -212,21 +203,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     profiles = linklevel.build_scenario_profiles(cfg, profile_at)
     result = linklevel.run_monte_carlo(cfg, profiles)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    written = []
-    for prec in cfg.precoders:
-        for quant in cfg.quantizers:
-            fname = f"{cfg.name}_{prec}_{quant.replace(':', '_')}.csv"
-            path = os.path.join(args.out_dir, fname)
-            with open(path, "w") as fh:
-                fh.write(linklevel.render_csv(result, prec, quant))
-            written.append(path)
-    cmp_path = os.path.join(args.out_dir, f"{cfg.name}_comparison.csv")
-    with open(cmp_path, "w") as fh:
-        fh.write(linklevel.render_comparison(result))
-    written.append(cmp_path)
-    for path in written:
+    tags = {(p, q): f"{p}_{q.replace(':', '_')}"
+            for p in cfg.precoders for q in cfg.quantizers}
+    trials = [str(cfg.trials)] * len(result.snr_db)
+    for (prec, quant), tag in tags.items():
+        path = os.path.join(args.out_dir, f"{cfg.name}_{tag}.csv")
+        profile_cache.write_table(
+            path, [*cfg.flat_items(), ("precoder", prec), ("quantizer", quant)],
+            ["snr_db", "mean_sum_rate", "stderr", "trials"],
+            zip(result.snr_db, result.mean[(prec, quant)],
+                result.stderr[(prec, quant)], trials))
         print(f"wrote {path}")
+    path = os.path.join(args.out_dir, f"{cfg.name}_comparison.csv")
+    profile_cache.write_table(path, cfg.flat_items(), ["snr_db", *tags.values()],
+                              zip(result.snr_db, *(result.mean[c] for c in tags)))
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -237,20 +228,13 @@ def cmd_fit_gaussian(args: argparse.Namespace) -> int:
     model = linklevel.fit_sector_model(
         partial(waveoptics.antenna_power_profile, lens, grid, array), lens, array)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     digest = profile_cache.params_digest(model.params)
     path = os.path.join(args.out_dir, f"gaussian_fit_{digest}.csv")
-    with open(path, "w") as fh:
-        for k, v in model.params.items():
-            fh.write(f"# {k} = {v!r}\n")
-        fh.write("theta_deg,p,q,r,residual_rms,poor_fit\n")
-        for i, ang in enumerate(model.anchors_deg):
-            fh.write(",".join([
-                repr(float(ang)), repr(float(model.p[i])),
-                repr(float(model.q[i])), repr(float(model.r[i])),
-                repr(float(model.residual_rms[i])),
-                str(bool(model.poor_fit[i])),
-            ]) + "\n")
+    profile_cache.write_table(
+        path, model.params.items(),
+        ["theta_deg", "p", "q", "r", "residual_rms", "poor_fit"],
+        zip(model.anchors_deg, model.p, model.q, model.r, model.residual_rms,
+            map(str, model.poor_fit.tolist())))
     print(f"wrote {path}")
     return EXIT_OK
 

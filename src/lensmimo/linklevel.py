@@ -3,7 +3,8 @@
 Signal model (transposed convention, no conjugation on the channel):
 y_k = sqrt(P) h_k^T sum_j g_j s_j + n_k with unit-variance noise, so the
 transmit power in dB doubles as the SNR axis. Precoders are built only from
-the directions users feed back, chosen by feedback's codebook functions.
+the directions users feed back, chosen by feedback's codebook functions. No file
+I/O: the CLI writes the results through profile_cache.write_table.
 """
 
 from __future__ import annotations
@@ -372,31 +373,3 @@ def run_monte_carlo(cfg: ScenarioConfig,
     return SimResult(scenario=cfg, snr_db=np.asarray(cfg.snr_db, dtype=float),
                      mean=mean, stderr=stderr, rates=rates)
 
-
-def render_csv(result: SimResult, precoder: str, quantizer: str) -> str:
-    """One curve as CSV text with the full effective config in the header."""
-    cfg = result.scenario
-    lines = [f"# {k} = {v}" for k, v in cfg.flat_items()]
-    lines.append(f"# precoder = {precoder}")
-    lines.append(f"# quantizer = {quantizer}")
-    lines.append("snr_db,mean_sum_rate,stderr,trials")
-    mean = result.mean[(precoder, quantizer)]
-    err = result.stderr[(precoder, quantizer)]
-    for i, snr in enumerate(result.snr_db):
-        lines.append(
-            f"{float(snr)!r},{float(mean[i])!r},{float(err[i])!r},{cfg.trials}")
-    return "\n".join(lines) + "\n"
-
-
-def render_comparison(result: SimResult) -> str:
-    """Side-by-side mean sum rates, one row per SNR, one column per combo."""
-    cfg = result.scenario
-    combos = [(p, q) for p in cfg.precoders for q in cfg.quantizers]
-    lines = [f"# {k} = {v}" for k, v in cfg.flat_items()]
-    header = ["snr_db"] + [f"{p}_{q.replace(':', '_')}" for p, q in combos]
-    lines.append(",".join(header))
-    for i, snr in enumerate(result.snr_db):
-        row = [repr(float(snr))]
-        row += [repr(float(result.mean[c][i])) for c in combos]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

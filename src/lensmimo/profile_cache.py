@@ -1,14 +1,18 @@
-"""Plain-text cache of swept per-antenna power profiles.
+"""Plain-text tables: the one writer of every output, and the profile cache.
 
-One row per departure angle, one column per antenna, with a header that
-names every parameter the table depends on plus a hash of them. Loaders
-check the hash so a stale table is rebuilt instead of silently reused.
+A table is `# key = value` header lines, an optional column line and CSV
+rows. The profile cache is one: a row per departure angle, a column per
+antenna, and a header naming every parameter it depends on plus their hash,
+which loaders check so a stale table is rebuilt, not silently reused.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,15 +86,47 @@ def build_profile_table(lens: LensSpec, grid: PropagationGrid, array: ArraySpec,
                         params=cache_params(lens, grid, array))
 
 
+# the reprs of the non-finite floats; no written value may read as one
+_NON_FINITE = frozenset(map(repr, (math.nan, math.inf, -math.inf)))
+
+
+def _checked(cells: list[str], path: str) -> list[str]:
+    if not _NON_FINITE.isdisjoint(cells):
+        raise DomainError(f"refusing to write a non-finite value to {path}")
+    return cells
+
+
+def write_table(path, header: Iterable[tuple[str, object]],
+                columns: Sequence[str] | None, rows: Iterable[Sequence]) -> None:
+    """Write `# key = value` header lines, the column line and the rows to path.
+
+    String cells are written as given and every other cell as repr(float).
+    Rows stream into a temporary file beside path that replaces it only once
+    complete, so path keeps its old bytes if anything fails, a non-finite
+    value included (DomainError). Missing parent directories are made.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for key, value in header:
+                fh.write(f"# {key} = {_checked([f'{value}'], path)[0]}\n")
+            if columns:
+                fh.write(",".join(columns) + "\n")
+            for row in rows:
+                cells = [v if isinstance(v, str) else repr(float(v)) for v in row]
+                fh.write(",".join(_checked(cells, path)) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_profile_table(path, table: ProfileTable) -> None:
-    with open(path, "w") as fh:
-        for k, v in table.params.items():
-            fh.write(f"# {k} = {v!r}\n")
-        fh.write(f"# hash = {table.digest}\n")
-        cols = ",".join(f"a_{m + 1}" for m in range(table.profiles.shape[1]))
-        fh.write(f"aod_deg,{cols}\n")
-        for aod, row in zip(table.aods_deg, table.profiles):
-            fh.write(",".join(repr(float(v)) for v in (aod, *row)) + "\n")
+    write_table(path, [*table.params.items(), ("hash", table.digest)],
+                ["aod_deg", *(f"a_{m + 1}" for m in range(table.profiles.shape[1]))],
+                np.column_stack((table.aods_deg, table.profiles)).tolist())
 
 
 def read_profile_table(path, expected_params: dict | None = None) -> ProfileTable:

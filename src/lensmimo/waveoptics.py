@@ -86,6 +86,10 @@ class LensSpec:
         if not _positive(self.epsilon_r - 1.0):
             raise ConfigError("relative permittivity must be finite and exceed 1 "
                               "for a converging contour")
+        rim = self.aperture / 2.0   # the phase is formed as in lens_phase_profile
+        if not np.isfinite(KAPPA * rim * rim / (2.0 * self.focal_length)):
+            raise ConfigError(f"lens phase kappa x^2 / (2 f) at the rim is not finite "
+                              f"for f = {self.focal_length}, D = {self.aperture}")
 
     @property
     def refractive_index(self) -> float:
@@ -162,10 +166,12 @@ def lens_phase_profile(lens: LensSpec, grid: PropagationGrid,
             f"window {grid.window} must be at least twice the aperture "
             f"{lens.aperture} to keep wraparound off the stop")
     x = grid.x()
+    inside = np.abs(x) <= lens.aperture / 2.0
+    x = x[inside]
     aod = np.deg2rad(aod_deg)
-    u = np.exp(-1j * KAPPA * x * x / (2.0 * lens.focal_length)
-               - 1j * KAPPA * x * np.sin(aod))
-    u[np.abs(x) > lens.aperture / 2.0] = 0.0
+    u = np.zeros(grid.num_samples, dtype=complex)
+    u[inside] = np.exp(-1j * KAPPA * x * x / (2.0 * lens.focal_length)
+                       - 1j * KAPPA * x * np.sin(aod))
     return u
 
 

@@ -9,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from lensmimo import linklevel
+from lensmimo import linklevel, profile_cache
 from lensmimo.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main,
                           parse_config)
-from lensmimo.linklevel import SimResult, render_csv
+from lensmimo.linklevel import SimResult
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.ini"))
@@ -111,14 +111,20 @@ HEADER_KEYS = ["scenario", "num_antennas", "num_users", "user_angles_deg",
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
-def test_shipped_scenarios_parse_and_keep_the_csv_header(path):
+def test_shipped_scenarios_parse_and_keep_the_csv_header(path, tmp_path,
+                                                         monkeypatch):
     cfg = parse_config(str(path))
     zeros = np.zeros(len(cfg.snr_db))
-    combo = (cfg.precoders[0], cfg.quantizers[0])
+    combos = [(p, q) for p in cfg.precoders for q in cfg.quantizers]
     result = SimResult(scenario=cfg, snr_db=np.asarray(cfg.snr_db), rates={},
-                       mean={combo: zeros}, stderr={combo: zeros})
-    header = [ln[2:] for ln in render_csv(result, *combo).splitlines()
-              if ln.startswith("# ")]
+                       mean=dict.fromkeys(combos, zeros),
+                       stderr=dict.fromkeys(combos, zeros))
+    monkeypatch.setattr(linklevel, "run_monte_carlo", lambda cfg, profiles: result)
+    assert main(["simulate", "--config", str(path),
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    prec, quant = combos[0]
+    text = (tmp_path / f"{cfg.name}_{prec}_{quant.replace(':', '_')}.csv").read_text()
+    header = [ln[2:] for ln in text.splitlines() if ln.startswith("# ")]
     assert [h.partition(" = ")[0] for h in header] == \
         HEADER_KEYS + ["precoder", "quantizer"]
     if path.stem == "four_user_downlink":
@@ -188,7 +194,17 @@ def test_exit_code_for_non_finite_user(tmp_path, capsys, users):
     ("simulate", ("simulation", "snr_db", "nan"), ()),
     ("simulate", ("array", "spacing", "nan"), ()),
     ("bpm-field", None, ("--aod", "nan")),
-], ids=["focal_length", "dz", "lens_distance", "snr_db", "spacing", "aod"])
+    # kappa x^2 / (2 f) overflows inside the aperture stop
+    ("lens-profile", ("lens", "focal_length", "1e-307"), ()),
+    ("bpm-field", ("lens", "focal_length", "1e-307"), ()),
+    ("fit-gaussian", ("lens", "focal_length", "1e-307"), ()),
+    ("simulate", ("lens", "focal_length", "1e-307"), ()),
+    ("lens-profile", ("lens", "focal_length", "1e-310"), ()),
+], ids=["focal_length", "dz", "lens_distance", "snr_db", "spacing", "aod",
+        "tiny_focal_length_lens_profile", "tiny_focal_length_bpm_field",
+        "tiny_focal_length_fit_gaussian", "tiny_focal_length_simulate",
+        "subnormal_focal_length"])
+@pytest.mark.filterwarnings("error")
 def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
                                           extra):
     edits = {}
@@ -416,6 +432,43 @@ def test_no_build_rejects_malformed_cache(ini_dir, cache_dir, tmp_path, capsys,
     assert rc == EXIT_CONFIG
     assert "rebuild the cache" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_profile_is_not_cached(ini_dir, tmp_path, capsys, monkeypatch):
+    """A NaN profile is a numerical error: exit 3 and no cache file."""
+    monkeypatch.setattr(profile_cache, "antenna_power_profile",
+                        lambda lens, grid, array, aod: np.full(array.num_antennas,
+                                                               np.nan))
+    rc = main(["lens-profile", "--config", str(ini_dir / "small.ini"),
+               "--cache-dir", str(tmp_path)])
+    assert rc == EXIT_DOMAIN
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_rewrite_keeps_the_old_cache(ini_dir, tmp_path, capsys, monkeypatch):
+    """A write that fails partway leaves the previous cache byte for byte
+    and no temporary file."""
+    argv = ["lens-profile", "--config", str(ini_dir / "small.ini"),
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    [cache] = tmp_path.iterdir()
+    before = cache.read_bytes()
+    write_table = profile_cache.write_table
+
+    def fails_partway(path, header, columns, rows):
+        def rows_then_error():
+            for i, row in enumerate(rows):
+                if i == 60:
+                    raise OSError("no space left on device")
+                yield row
+        write_table(path, header, columns, rows_then_error())
+
+    monkeypatch.setattr(profile_cache, "write_table", fails_partway)
+    assert main(argv) == EXIT_IO
+    assert "no space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cache]
+    assert cache.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

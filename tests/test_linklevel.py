@@ -10,8 +10,8 @@ from lensmimo import (ArraySpec, ConfigError, DomainError, ScenarioConfig, UserC
                       draw_channel, matrix_sqrt, mrt_precoder, parse_quantizer,
                       received_sinr, run_monte_carlo, sum_rate, zf_precoder)
 from lensmimo import linklevel
-from lensmimo.linklevel import (build_scenario_profiles, render_comparison,
-                                render_csv)
+from lensmimo.cli import main, parse_config
+from lensmimo.linklevel import build_scenario_profiles
 
 
 def _draw(rng, shape):
@@ -382,11 +382,37 @@ def test_profile_shaped_codebook_beats_plain_quantization():
 # ---------------------------------------------------------------------------
 # CSV rendering
 
+# _small_cfg(trials=3) as a scenario file
+SMALL_INI = """\
+[scenario]
+name = unit
+lens = off
+precoders = zf, mrt
+quantizers = rvq, full
+[array]
+num_antennas = 16
+[users]
+angles = -10, 10
+sigma = 5
+[simulation]
+bits = 4
+snr_db = 0, 10
+trials = 3
+seed = 321
+"""
 
-def test_render_csv_format():
-    cfg = _small_cfg(trials=3)
-    res = run_monte_carlo(cfg)
-    text = render_csv(res, "zf", "rvq")
+
+def _simulate_small(out):
+    """Run the simulate command on _small_cfg(trials=3); return its out dir."""
+    ini = out / "unit.ini"
+    ini.write_text(SMALL_INI)
+    assert parse_config(str(ini)) == _small_cfg(trials=3)
+    assert main(["simulate", "--config", str(ini), "--out-dir", str(out)]) == 0
+    return out
+
+
+def test_render_csv_format(tmp_path):
+    text = (_simulate_small(tmp_path) / "unit_zf_rvq.csv").read_text()
     lines = text.strip().split("\n")
     header = [ln for ln in lines if ln.startswith("#")]
     assert any(ln == "# scenario = unit" for ln in header)
@@ -404,10 +430,8 @@ def test_render_csv_format():
         assert "np." not in row
 
 
-def test_render_comparison_has_one_column_per_combo():
-    cfg = _small_cfg(trials=3)
-    res = run_monte_carlo(cfg)
-    text = render_comparison(res)
+def test_render_comparison_has_one_column_per_combo(tmp_path):
+    text = (_simulate_small(tmp_path) / "unit_comparison.csv").read_text()
     lines = [ln for ln in text.strip().split("\n") if not ln.startswith("#")]
     assert lines[0] == "snr_db,zf_rvq,zf_full,mrt_rvq,mrt_full"
     assert len(lines) == 3

@@ -6,7 +6,8 @@ import pytest
 from lensmimo import ConfigError, DomainError, PropagationGrid
 from lensmimo.profile_cache import (ProfileTable, build_profile_table,
                                     cache_params, params_digest,
-                                    read_profile_table, write_profile_table)
+                                    read_profile_table, write_profile_table,
+                                    write_table)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,9 @@ def test_round_trip_preserves_everything(tmp_path, table):
     assert np.array_equal(back.profiles, table.profiles)
     assert back.params == table.params
     assert back.digest == table.digest
+    with pytest.raises(DomainError, match="non-finite"):
+        write_table(tmp_path / "nan.csv", [("f", 40.0)], ["a"], [[1.0], [np.nan]])
+    assert not list(tmp_path.glob("nan.csv*"))
 
 
 def test_rewrite_is_byte_identical(tmp_path, table):

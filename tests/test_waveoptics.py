@@ -78,6 +78,9 @@ def test_lens_spec_validation():
             ArraySpec(spacing=bad)
         with pytest.raises(ConfigError, match="finite"):
             ArraySpec(lens_distance=bad)
+    for tiny in (1e-307, 1e-310):   # kappa x^2 / (2 f) overflows inside the stop
+        with pytest.raises(ConfigError, match="not finite"):
+            LensSpec(focal_length=tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +121,16 @@ def test_phase_profile_truncated_at_stop(lens, grid):
     assert np.allclose(np.abs(u0[inside]), 1.0)
     with pytest.raises(ConfigError, match="finite"):
         lens_phase_profile(lens, grid, np.nan)
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_focal_length_phase_is_formed_inside_the_stop_only(grid):
+    """kappa x^2 / (2 f) is finite inside the stop at f = 1e-305 but not
+    across the whole window, so only the inside may be computed."""
+    lens = LensSpec(focal_length=1e-305)
+    u0 = lens_phase_profile(lens, grid)
+    assert np.all(np.isfinite(u0))
+    assert np.all(u0[np.abs(grid.x()) > lens.aperture / 2.0] == 0.0)
 
 
 # ---------------------------------------------------------------------------
