@@ -87,10 +87,11 @@ def matrix_sqrt(r: np.ndarray) -> np.ndarray:
 
 
 def draw_channel(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One CN(0, R) channel vector, h = S h_iid with unit per-entry variance."""
-    m = s.shape[0]
-    h_iid = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-    return s @ h_iid
+    """CN(0, R) channels h = S h_iid, unit per-entry variance, for one (m, m)
+    factor or a (users, m, m) stack, which draws what single draws in turn do."""
+    z = rng.standard_normal((*s.shape[:-2], 2, s.shape[-1]))
+    h_iid = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
+    return (s @ h_iid[..., None])[..., 0]
 
 
 def apply_lens(h: np.ndarray, a: np.ndarray) -> np.ndarray:

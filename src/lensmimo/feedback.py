@@ -1,11 +1,12 @@
 """Limited-feedback channel quantization.
 
-Codebooks are (m, 2^bits) arrays of unit codeword columns: isotropic random
-ones (RVQ), shaped by the channel's correlation square root and then by the
-lens power profile (MVCQ); a user feeds back the best-aligned column. Also
-the cheap profile estimator: a Gaussian model of the focused spot, fitted to
-propagated profiles and interpolated across angle; it alone needs SciPy,
-which it imports on first use so that nothing else pays for loading it.
+Codebook stacks are (users, 2m, 2^bits) real [Re; Im] blocks of random draws
+(RVQ), shaped by the correlation square root and weighted by the lens power
+profile (MVCQ); each user feeds back the codeword with the largest |h^H w| /
+|w|, the only one ever normalized. Also the cheap profile estimator: a
+Gaussian model of the focused spot, fitted to propagated profiles and
+interpolated across angle; it alone needs SciPy, which it imports on first
+use so that nothing else pays for loading it.
 """
 
 from __future__ import annotations
@@ -19,57 +20,69 @@ from .errors import ConfigError, DomainError
 from .waveoptics import ArraySpec, LensSpec
 
 
-def _unit_columns(w: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(w, axis=0)
-    if np.any(norms == 0):
-        raise DomainError("codebook construction produced a zero codeword")
-    return w / norms
-
-
-def random_codebook(m: int, bits: int, rng: np.random.Generator) -> np.ndarray:
-    """Isotropic random codebook: (m, 2^bits) i.i.d. complex normal unit columns."""
+def random_codebook(m: int, bits: int, rng: np.random.Generator,
+                    users: int = 1) -> np.ndarray:
+    """Isotropic random codebooks: (users, 2m, 2^bits) i.i.d. normal draws,
+    user after user, so a stack equals single-user draws made in turn."""
     if not 1 <= bits <= 16:
         raise ConfigError("codebook bits must be between 1 and 16")
     if m < 1:
         raise ConfigError("codeword length must be at least 1")
-    n = 2 ** bits
-    w = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
-    return _unit_columns(w)
+    return rng.standard_normal((users, 2 * m, 2 ** bits))
 
 
-def correlate_codewords(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Shape isotropic codewords with the channel correlation factor S.
-
-    Columns become S w_j, renormalized, so codeword statistics match the
-    CN(0, R) channel they will quantize.
-    """
+def real_block(s: np.ndarray) -> np.ndarray:
+    """Real form [[Re s, -Im s], [Im s, Re s]] of complex (..., m, m) s: it
+    maps the [Re; Im] block of a column w to that of s w."""
     s = np.asarray(s)
-    if s.shape[1] != w.shape[0]:
+    return np.block([[s.real, -s.imag], [s.imag, s.real]])
+
+
+def correlate_codewords(w: np.ndarray, s_block: np.ndarray) -> np.ndarray:
+    """S W for each user's correlation factor S, given as real_block(S), so
+    codeword statistics match the CN(0, R) channel they will quantize."""
+    if s_block.shape[-1] != w.shape[-2]:
         raise ConfigError("correlation factor and codebook dimensions differ")
-    return _unit_columns(s @ w)
+    return s_block @ w
 
 
-def weight_codewords(w: np.ndarray, root_a: np.ndarray) -> np.ndarray:
-    """Carry the lens power profile a into correlated codewords (MVCQ).
+def select_codeword(h: np.ndarray, w: np.ndarray,
+                    root_a: np.ndarray | None = None) -> np.ndarray:
+    """Per user, the codeword w_j of the stack w with the largest
+    |h^H w_j| / |w_j| (ties go to the lowest index), scaled to unit length.
 
-    Each codeword entry is scaled by root_a[m] = sqrt(a_m), matching the
-    per-antenna variance of the lens channel, then the column is renormalized.
+    h and root_a are (users, m); root_a = sqrt(a) weights every codeword
+    entry by the lens channel's amplitude (MVCQ). Returns (users, m).
     """
-    root_a = np.asarray(root_a, dtype=float)
-    if root_a.shape != (w.shape[0],):
-        raise ConfigError("profile length and codeword length differ")
-    if np.any(root_a < 0):
-        raise DomainError("profile root has negative entries")
-    return _unit_columns(root_a[:, None] * w)
-
-
-def select_codeword(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The column w_j with the largest |h* w_j|; ties go to the lowest index."""
-    if h.shape[0] != w.shape[0]:
+    k, m = h.shape
+    if w.shape[:2] != (k, 2 * m):
         raise ConfigError("channel and codeword lengths differ")
-    if not np.any(h):
+    if not h.any(axis=1).all():
         raise DomainError("cannot quantize a zero channel")
-    return w[:, np.argmax(np.abs(h.conj() @ w))]
+    power = np.square(w)
+    if root_a is None:
+        root_a, norm2 = 1.0, np.ones(2 * m) @ power
+    else:
+        root_a = np.asarray(root_a, dtype=float)
+        if root_a.shape != h.shape:
+            raise ConfigError("profile length and codeword length differ")
+        if (root_a < 0).any():
+            raise DomainError("profile root has negative entries")
+        norm2 = (np.tile(root_a * root_a, 2)[:, None] @ power)[:, 0]
+    if not norm2.all():
+        raise DomainError("codebook construction produced a zero codeword")
+    # rows [Re g, Im g] and [-Im g, Re g] give Re and Im of g^H w_j, which
+    # is h^H (root_a w_j) for g = root_a h
+    g = root_a * h
+    rows = np.empty((k, 2, 2 * m))
+    rows[:, 0, :m] = rows[:, 1, m:] = g.real
+    rows[:, 0, m:] = g.imag
+    rows[:, 1, :m] = -g.imag
+    t = rows @ w
+    j = np.argmax((t[:, 0] ** 2 + t[:, 1] ** 2) / norm2, axis=1)
+    users = np.arange(k)
+    chosen = w[users, :, j] / np.sqrt(norm2[users, j])[:, None]
+    return root_a * (chosen[:, :m] + 1j * chosen[:, m:])
 
 
 # ---------------------------------------------------------------------------

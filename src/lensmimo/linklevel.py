@@ -19,8 +19,8 @@ from .channel import (UserConfig, apply_lens, correlation_matrix, draw_channel,
                       matrix_sqrt)
 from .errors import ConfigError, DomainError, LensMimoError
 from .feedback import (GaussianProfileModel, correlate_codewords, fit_gaussian_model,
-                       gaussian_profile, random_codebook, select_codeword,
-                       weight_codewords)
+                       gaussian_profile, random_codebook, real_block,
+                       select_codeword)
 from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
 
 COND_LIMIT = 1e12
@@ -294,37 +294,34 @@ class SimResult:
     rates: dict[tuple[str, str], np.ndarray]   # (num_snr, trials)
 
 
-def _fill_cell(cfg: ScenarioConfig, factors: list[np.ndarray],
+def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, blocks: np.ndarray,
                lens_roots: np.ndarray | None, roots: dict[str, np.ndarray],
                kinds: list[tuple[str, str]], rates: dict, si: int, ti: int) -> None:
     """Write every (precoder, quantizer) sum rate of one Monte-Carlo cell.
 
     The substream is keyed by (snr index, trial index) so results do not
-    depend on execution order; channels are drawn before codebooks so every
-    quantizer sees the same realizations. Per user, S W (correlate_codewords)
-    is formed once and shared by rvq_corr and every mvcq token.
+    depend on execution order; the K channels are drawn before the K
+    codebooks so every quantizer sees the same realizations. S W
+    (correlate_codewords) is formed once and shared by rvq_corr and every
+    mvcq token, which weights it by its own sqrt(a) at selection.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
-    h = np.stack([draw_channel(s, rng) for s in factors])
+    h = draw_channel(factors, rng)
     if lens_roots is not None:
         h = lens_roots * h
-    bases = [random_codebook(cfg.array.num_antennas, cfg.bits, rng) for _ in factors]
+    bases = random_codebook(cfg.array.num_antennas, cfg.bits, rng, cfg.num_users)
     correlated = None
 
     p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
     for token, kind in kinds:
         if kind == "full":
             h_hat = h / np.linalg.norm(h, axis=1, keepdims=True)
+        elif kind == "rvq":
+            h_hat = select_codeword(h, bases)
         else:
-            books = bases
-            if kind != "rvq":
-                if correlated is None:
-                    correlated = [correlate_codewords(w, s)
-                                  for w, s in zip(bases, factors)]
-                books = correlated
-            if kind == "mvcq":
-                books = [weight_codewords(w, r) for w, r in zip(books, roots[token])]
-            h_hat = np.stack([select_codeword(hu, w) for hu, w in zip(h, books)])
+            if correlated is None:
+                correlated = correlate_codewords(bases, blocks)
+            h_hat = select_codeword(h, correlated, roots.get(token))
         for prec in cfg.precoders:
             try:
                 p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
@@ -347,8 +344,9 @@ def run_monte_carlo(cfg: ScenarioConfig,
     if profiles is None:
         profiles = build_scenario_profiles(cfg)
     m = cfg.array.num_antennas
-    factors = [matrix_sqrt(correlation_matrix(u, m, cfg.array.spacing))
-               for u in cfg.users]
+    factors = np.stack([matrix_sqrt(correlation_matrix(u, m, cfg.array.spacing))
+                        for u in cfg.users])
+    blocks = real_block(factors)
     # apply_lens on all-ones rows checks each profile once and returns sqrt(a)
     ones = np.ones((cfg.num_users, m))
     lens_roots = None if profiles.channel is None else apply_lens(ones, profiles.channel)
@@ -359,7 +357,8 @@ def run_monte_carlo(cfg: ScenarioConfig,
     rates = {c: np.empty((n_snr, n_tr)) for c in combos}
     for si in range(n_snr):
         for ti in range(n_tr):
-            _fill_cell(cfg, factors, lens_roots, roots, kinds, rates, si, ti)
+            _fill_cell(cfg, factors, blocks, lens_roots, roots, kinds, rates,
+                       si, ti)
     for prec, token in combos:
         if not np.all(np.isfinite(rates[(prec, token)])):
             raise DomainError(

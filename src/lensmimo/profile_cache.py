@@ -60,6 +60,18 @@ class ProfileTable:
     def digest(self) -> str:
         return params_digest(self.params)
 
+    def fault(self) -> str | None:
+        """Why the rows are not power profiles (finite, nonnegative, each
+        summing to its length M within 1e-9 relative), or None."""
+        prof, m = self.profiles, self.profiles.shape[1]
+        if not (np.isfinite(self.aods_deg).all() and np.isfinite(prof).all()):
+            return "non-finite values"
+        if np.any(prof < 0):
+            return "negative power"
+        if not np.allclose(prof.sum(axis=1), m, rtol=1e-9, atol=0.0):
+            return f"a row that does not sum to M = {m}"
+        return None
+
     def lookup(self, aod_deg: float) -> np.ndarray:
         """Profile at the nearest swept angle, refusing gaps beyond MAX_GAP_DEG."""
         i = int(np.argmin(np.abs(self.aods_deg - aod_deg)))
@@ -124,6 +136,8 @@ def write_table(path, header: Iterable[tuple[str, object]],
 
 
 def write_profile_table(path, table: ProfileTable) -> None:
+    if fault := table.fault():
+        raise DomainError(f"refusing to cache a profile table with {fault} at {path}")
     write_table(path, [*table.params.items(), ("hash", table.digest)],
                 ["aod_deg", *(f"a_{m + 1}" for m in range(table.profiles.shape[1]))],
                 np.column_stack((table.aods_deg, table.profiles)).tolist())
@@ -170,7 +184,7 @@ def read_profile_table(path, expected_params: dict | None = None) -> ProfileTabl
                 f"profile cache {path} was built for different parameters; "
                 "rebuild the cache")
     data = np.asarray(rows)
-    if not np.all(np.isfinite(data)):
-        raise ConfigError(
-            f"profile cache {path} holds non-finite values; rebuild the cache")
-    return ProfileTable(aods_deg=data[:, 0], profiles=data[:, 1:], params=params)
+    table = ProfileTable(aods_deg=data[:, 0], profiles=data[:, 1:], params=params)
+    if fault := table.fault():
+        raise ConfigError(f"profile cache {path} holds {fault}; rebuild the cache")
+    return table

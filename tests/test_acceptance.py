@@ -101,12 +101,15 @@ def test_small_instance_oracles():
     zf_err = float(np.max(np.abs(
         zf_precoder(h).columns - h.conj().T @ np.linalg.inv(h @ h.conj().T))))
 
-    cb = random_codebook(4, 4, rng)
+    w = random_codebook(4, 4, rng)
+    cb = w[0, :4] + 1j * w[0, 4:]
+    cb = cb / np.linalg.norm(cb, axis=0)
     mismatches = 0
     for _ in range(100):
         ch = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         ref = int(np.argmax([abs(np.vdot(ch, cb[:, j])) for j in range(16)]))
-        mismatches += int(not np.array_equal(select_codeword(ch, cb), cb[:, ref]))
+        mismatches += int(not np.allclose(select_codeword(ch[None], w)[0],
+                                          cb[:, ref], rtol=0.0, atol=1e-12))
 
     def quad_corr(theta_deg, sigma_deg, lag):
         sig = np.radians(sigma_deg)

@@ -419,7 +419,13 @@ def test_no_build_rejects_coarse_step_sources(ini_dir, cache_dir, tmp_path, caps
     lambda cells: cells[:-3],                       # a write cut short
     lambda cells: [cells[0], "abc", *cells[2:]],
     lambda cells: [cells[0], "nan", *cells[2:]],
-], ids=["truncated_row", "non_numeric_token", "non_finite_value"])
+    # one entry times 50 plus 10: the row no longer sums to M
+    lambda cells: [cells[0], repr(float(cells[1]) * 50 + 10), *cells[2:]],
+    # power moved from one antenna to the next: sum kept, one entry negative
+    lambda cells: [cells[0], "-1.0", repr(float(cells[2]) + float(cells[1]) + 1.0),
+                   *cells[3:]],
+], ids=["truncated_row", "non_numeric_token", "non_finite_value", "row_off_sum",
+        "negative_entry"])
 def test_no_build_rejects_malformed_cache(ini_dir, cache_dir, tmp_path, capsys,
                                           edit):
     src = next(cache_dir.glob("profiles_*.csv"))
@@ -443,6 +449,24 @@ def test_non_finite_profile_is_not_cached(ini_dir, tmp_path, capsys, monkeypatch
                "--cache-dir", str(tmp_path)])
     assert rc == EXIT_DOMAIN
     assert "non-finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("profile", [
+    lambda m: np.full(m, 2.0),
+    lambda m: np.r_[-1.0, np.full(m - 1, (m + 1.0) / (m - 1))],
+], ids=["sums_to_2M", "negative_entry"])
+def test_profile_breaking_the_post_condition_is_not_cached(ini_dir, tmp_path,
+                                                           capsys, monkeypatch,
+                                                           profile):
+    """A finite profile that is negative somewhere or does not sum to M is a
+    numerical error too: exit 3 and no cache file."""
+    monkeypatch.setattr(profile_cache, "antenna_power_profile",
+                        lambda lens, grid, array, aod: profile(array.num_antennas))
+    rc = main(["lens-profile", "--config", str(ini_dir / "small.ini"),
+               "--cache-dir", str(tmp_path)])
+    assert rc == EXIT_DOMAIN
+    assert "refusing to cache" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

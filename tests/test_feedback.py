@@ -12,7 +12,7 @@ from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec,
                       PropagationGrid, UserConfig, antenna_power_profile,
                       correlate_codewords, correlation_matrix,
                       fit_gaussian_model, gaussian_profile, matrix_sqrt,
-                      random_codebook, select_codeword, weight_codewords)
+                      random_codebook, real_block, select_codeword)
 
 
 def _batch_normalize(w):
@@ -23,23 +23,60 @@ def _batch_draw(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _columns(w):
+    """The complex codewords (m, n) of a one-user [Re; Im] codebook stack."""
+    m = w.shape[1] // 2
+    return w[0, :m] + 1j * w[0, m:]
+
+
+def _unit_columns(w):
+    cols = _columns(w)
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+def _chosen_codewords(w, root_a=None):
+    """select_codeword's unit codeword for every column j of a one-user stack.
+
+    The channel root_a * w_j (w_j without root_a) has the highest score at
+    column j, and the chosen codeword must point along it.
+    """
+    cols = _columns(w)
+    if root_a is not None:
+        cols = root_a[:, None] * cols
+    out = np.empty(cols.shape, dtype=complex)
+    for j in range(cols.shape[1]):
+        c = select_codeword(cols[None, :, j], w,
+                            None if root_a is None else root_a[None])[0]
+        assert abs(np.vdot(cols[:, j], c)) == pytest.approx(
+            np.linalg.norm(cols[:, j]), rel=1e-12)
+        out[:, j] = c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # codebook constructions
 
 
 def test_rvq_columns_unit_norm_and_deterministic():
+    """Chosen codewords are unit vectors; a stack of codebooks is the same
+    draws as one codebook after another."""
     cb1 = random_codebook(64, 6, np.random.default_rng(42))
     cb2 = random_codebook(64, 6, np.random.default_rng(42))
-    assert cb1.shape == (64, 64)
-    assert np.allclose(np.linalg.norm(cb1, axis=0), 1.0, atol=1e-12)
+    assert cb1.shape == (1, 128, 64)
+    assert np.allclose(np.linalg.norm(_chosen_codewords(cb1), axis=0), 1.0,
+                       atol=1e-12)
     assert np.array_equal(cb1, cb2)
+    rng = np.random.default_rng(42)
+    singles = [random_codebook(64, 6, rng) for _ in range(3)]
+    stack = random_codebook(64, 6, np.random.default_rng(42), users=3)
+    assert np.array_equal(stack, np.concatenate(singles))
 
 
 def test_rvq_isotropy_oracle():
     """Independent isotropic unit vectors satisfy E|<c_i, c_j>|^2 = 1/M."""
     m, vals = 64, []
     for seed in (1, 2, 3):
-        cb = random_codebook(m, 6, np.random.default_rng(seed))
+        cb = _chosen_codewords(random_codebook(m, 6, np.random.default_rng(seed)))
         gram = np.abs(cb.conj().T @ cb) ** 2
         off = gram[~np.eye(gram.shape[0], dtype=bool)]
         vals.append(off.mean())
@@ -59,15 +96,25 @@ def test_rvq_rejects_bad_sizes():
 
 def test_correlate_identity_is_noop():
     cb = random_codebook(16, 4, np.random.default_rng(5))
-    out = correlate_codewords(cb, np.eye(16))
+    out = correlate_codewords(cb, real_block(np.eye(16)))
     assert np.allclose(out, cb, atol=1e-12)
+
+
+def test_real_block_acts_as_the_complex_product():
+    rng = np.random.default_rng(6)
+    s = _batch_draw(rng, (3, 8, 8))
+    w = random_codebook(8, 3, rng, users=3)
+    out = correlate_codewords(w, real_block(s))
+    assert np.allclose(out[:, :8] + 1j * out[:, 8:], s @ (w[:, :8] + 1j * w[:, 8:]),
+                       atol=1e-12)
 
 
 def test_correlate_rank_one_collapses_directions():
     """Fully correlated factor (zero spacing limit) leaves collinear codewords."""
     m = 8
     s = matrix_sqrt(np.ones((m, m), dtype=complex))
-    cb = correlate_codewords(random_codebook(m, 4, np.random.default_rng(9)), s)
+    cb = _chosen_codewords(correlate_codewords(
+        random_codebook(m, 4, np.random.default_rng(9)), real_block(s)))
     gram = np.abs(cb.conj().T @ cb)
     assert np.allclose(gram, 1.0, atol=1e-9)
 
@@ -75,7 +122,7 @@ def test_correlate_rank_one_collapses_directions():
 def test_correlate_rejects_dimension_mismatch():
     cb = random_codebook(8, 3, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        correlate_codewords(cb, np.eye(10))
+        correlate_codewords(cb, real_block(np.eye(10)))
 
 
 def test_correlated_codebook_quantizes_better():
@@ -105,20 +152,22 @@ def test_correlated_codebook_quantizes_better():
 def test_mvcq_all_ones_profile_degenerates():
     m = 16
     s = matrix_sqrt(correlation_matrix(UserConfig(0.0, 5.0), m))
-    corr = correlate_codewords(random_codebook(m, 4, np.random.default_rng(3)), s)
-    mv = weight_codewords(corr, np.ones(m))
-    assert np.allclose(mv, corr, atol=1e-12)
+    corr = correlate_codewords(random_codebook(m, 4, np.random.default_rng(3)),
+                               real_block(s))
+    mv = _chosen_codewords(corr, np.ones(m))
+    assert np.allclose(mv, _chosen_codewords(corr), atol=1e-12)
 
 
 def test_mvcq_entries_scale_with_profile():
     """Before renormalization, |w''_m|^2 = a_m |w'_m|^2 entry for entry."""
     m = 16
     corr = correlate_codewords(random_codebook(m, 4, np.random.default_rng(4)),
-                               np.eye(m))
+                               real_block(np.eye(m)))
     a = np.random.default_rng(5).random(m) * 2.0
-    mv = weight_codewords(corr, np.sqrt(a))
-    unnorm = mv * np.linalg.norm(np.sqrt(a)[:, None] * corr, axis=0)
-    assert np.allclose(np.abs(unnorm) ** 2, a[:, None] * np.abs(corr) ** 2)
+    mv = _chosen_codewords(corr, np.sqrt(a))
+    cols = _columns(corr)
+    unnorm = mv * np.linalg.norm(np.sqrt(a)[:, None] * cols, axis=0)
+    assert np.allclose(np.abs(unnorm) ** 2, a[:, None] * np.abs(cols) ** 2)
 
 
 def test_mvcq_concentrates_on_dominant_cell():
@@ -127,19 +176,27 @@ def test_mvcq_concentrates_on_dominant_cell():
     a = np.full(m, 8.0 / 63.0)
     a[40] = 56.0
     s = matrix_sqrt(correlation_matrix(UserConfig(0.0, 5.0), m))
-    corr = correlate_codewords(random_codebook(m, 6, np.random.default_rng(12)), s)
-    mv = weight_codewords(corr, np.sqrt(a))
+    corr = correlate_codewords(random_codebook(m, 6, np.random.default_rng(12)),
+                               real_block(s))
+    mv = _chosen_codewords(corr, np.sqrt(a))
     assert np.mean(np.abs(mv[40]) ** 2) > 0.5
 
 
 def test_mvcq_rejects_bad_inputs():
     m = 8
     rng = np.random.default_rng(1)
-    corr = correlate_codewords(random_codebook(m, 3, rng), np.eye(m))
+    corr = correlate_codewords(random_codebook(m, 3, rng), real_block(np.eye(m)))
+    h = _batch_draw(rng, (1, m))
     with pytest.raises(DomainError):
-        weight_codewords(corr, -np.ones(m))
+        select_codeword(h, corr, -np.ones((1, m)))
     with pytest.raises(ConfigError):
-        weight_codewords(corr, np.ones(m + 1))
+        select_codeword(h, corr, np.ones((1, m + 1)))
+    corr[0, :, 5] = 0.0
+    corr[0, [2, m + 2], 5] = 1.0         # codeword 5 lives on antenna 2 only
+    dark = np.ones((1, m))
+    dark[0, 2] = 0.0
+    with pytest.raises(DomainError, match="zero codeword"):
+        select_codeword(h, corr, dark)
 
 
 def test_alignment_ordering_across_constructions(profile_set):
@@ -180,7 +237,8 @@ def test_alignment_ordering_across_constructions(profile_set):
 def test_quantize_matches_brute_force():
     m, bits = 4, 4
     rng = np.random.default_rng(13)
-    cb = random_codebook(m, bits, rng)
+    w = random_codebook(m, bits, rng)
+    cb = _unit_columns(w)
     for _ in range(200):
         h = _batch_draw(rng, (m,))
         best, best_val = 0, -1.0
@@ -188,7 +246,8 @@ def test_quantize_matches_brute_force():
             val = abs(np.vdot(h, cb[:, j]))   # vdot conjugates h
             if val > best_val:
                 best, best_val = j, val
-        assert np.array_equal(select_codeword(h, cb), cb[:, best])
+        assert np.allclose(select_codeword(h[None], w)[0], cb[:, best],
+                           rtol=0.0, atol=1e-12)
 
 
 def test_rvq_quantization_error_oracle():
@@ -199,7 +258,7 @@ def test_rvq_quantization_error_oracle():
     err = np.empty(draws)
     for i in range(draws):
         h = _batch_draw(rng, (m,))
-        c = select_codeword(h, random_codebook(m, bits, rng))
+        c = select_codeword(h[None], random_codebook(m, bits, rng))[0]
         err[i] = 1.0 - abs(np.vdot(h / np.linalg.norm(h), c)) ** 2
     expected = 2 ** bits * beta(2 ** bits, m / (m - 1))
     se = err.std(ddof=1) / np.sqrt(draws)
@@ -208,10 +267,11 @@ def test_rvq_quantization_error_oracle():
 
 def test_quantize_perfect_codeword():
     rng = np.random.default_rng(21)
-    cb = random_codebook(8, 4, rng)
+    w = random_codebook(8, 4, rng)
+    cb = _unit_columns(w)
     h = 3.0 * cb[:, 11]
-    c = select_codeword(h, cb)
-    assert np.array_equal(c, cb[:, 11])
+    c = select_codeword(h[None], w)[0]
+    assert np.allclose(c, cb[:, 11], rtol=0.0, atol=1e-12)
     assert abs(np.vdot(h, c)) == pytest.approx(3.0)
 
 
@@ -221,7 +281,7 @@ def test_quantize_perfect_codeword():
 def test_quantize_scale_and_phase_invariant(scale):
     rng = np.random.default_rng(33)
     cb = random_codebook(8, 4, rng)
-    h = _batch_draw(rng, (8,))
+    h = _batch_draw(rng, (1, 8))
     assert np.array_equal(select_codeword(h, cb), select_codeword(scale * h, cb))
 
 
@@ -231,14 +291,15 @@ def test_quantize_tie_breaks_low_index():
     vecs[0, 1] = 1j          # same metric as column 0 for this channel
     vecs[1, 2] = 1.0
     vecs[2, 3] = 1.0
-    h = np.array([1.0 + 0j, 0.0, 0.0, 0.0])
-    assert np.array_equal(select_codeword(h, vecs), vecs[:, 0])
+    h = np.array([[1.0 + 0j, 0.0, 0.0, 0.0]])
+    block = np.concatenate((vecs.real, vecs.imag))[None]
+    assert np.array_equal(select_codeword(h, block)[0], vecs[:, 0])
 
 
 def test_quantize_rejects_zero_channel():
     cb = random_codebook(4, 2, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        select_codeword(np.zeros(4, dtype=complex), cb)
+        select_codeword(np.zeros((1, 4), dtype=complex), cb)
 
 
 # ---------------------------------------------------------------------------

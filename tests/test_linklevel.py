@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from lensmimo import (ArraySpec, ConfigError, DomainError, ScenarioConfig, UserConfig,
-                      antenna_power_profile, apply_lens, correlation_matrix,
-                      draw_channel, matrix_sqrt, mrt_precoder, parse_quantizer,
-                      received_sinr, run_monte_carlo, sum_rate, zf_precoder)
+                      antenna_power_profile, apply_lens, correlate_codewords,
+                      correlation_matrix, draw_channel, matrix_sqrt, mrt_precoder,
+                      parse_quantizer, random_codebook, real_block,
+                      received_sinr, run_monte_carlo, select_codeword, sum_rate,
+                      zf_precoder)
 from lensmimo import linklevel
 from lensmimo.cli import main, parse_config
 from lensmimo.linklevel import build_scenario_profiles
@@ -244,21 +246,21 @@ def test_monte_carlo_trial_prefix_is_stable():
         assert np.array_equal(long.rates[combo][:, :5], short.rates[combo])
 
 
-def _unit_columns(w):
-    return w / np.linalg.norm(w, axis=0)
+def _cell_rng(cfg, si, ti):
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
 
 
 def _reference_cell_rates(cfg, profiles, factors, si, ti):
-    """One Monte-Carlo cell built user by user: channels and precoders from
-    the public functions, codebooks and their selection in plain numpy."""
-    k, m, n = cfg.num_users, cfg.array.num_antennas, 2 ** cfg.bits
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
+    """One Monte-Carlo cell built user by user from the public functions:
+    one channel draw, codebook, correlation and selection per user."""
+    k, m = cfg.num_users, cfg.array.num_antennas
+    rng = _cell_rng(cfg, si, ti)
     h = np.stack([draw_channel(s, rng) for s in factors])
     if profiles.channel is not None:
         h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
     else:
         h_true = h
-    bases = [_unit_columns(_draw(rng, (m, n))) for _ in range(k)]
+    bases = [random_codebook(m, cfg.bits, rng) for _ in range(k)]
 
     p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
     out = {}
@@ -269,13 +271,12 @@ def _reference_cell_rates(cfg, profiles, factors, si, ti):
         else:
             rows = []
             for u in range(k):
-                cb = bases[u]
+                cb, root_a = bases[u], None
                 if kind in ("rvq_corr", "mvcq"):
-                    cb = _unit_columns(factors[u] @ cb)
+                    cb = correlate_codewords(cb, real_block(factors[u]))
                 if kind == "mvcq":
-                    root_a = np.sqrt(profiles.codebook[token][u])
-                    cb = _unit_columns(root_a[:, None] * cb)
-                rows.append(cb[:, np.argmax(np.abs(h_true[u].conj() @ cb))])
+                    root_a = np.sqrt(profiles.codebook[token][u])[None]
+                rows.append(select_codeword(h_true[u][None], cb, root_a)[0])
             h_hat = np.stack(rows)
         for prec in cfg.precoders:
             p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
@@ -284,27 +285,122 @@ def _reference_cell_rates(cfg, profiles, factors, si, ti):
     return out
 
 
-@pytest.mark.parametrize("lens_enabled", [True, False])
-def test_monte_carlo_matches_reference_cells(lens_enabled):
+def _unit_columns(w):
+    return w / np.linalg.norm(w, axis=0)
+
+
+def _normalized_chain_cell(cfg, profiles, factors, si, ti):
+    """One cell the way every codebook used to be built: each construction
+    step renormalizes all columns, and a user picks argmax |h^H w_j| among
+    unit columns. Returns {token: (h_hat, picks, books)} and the rates."""
+    k, m, n = cfg.num_users, cfg.array.num_antennas, 2 ** cfg.bits
+    rng = _cell_rng(cfg, si, ti)
+    h = np.stack([draw_channel(s, rng) for s in factors])
+    if profiles.channel is not None:
+        h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
+    else:
+        h_true = h
+    bases = [_unit_columns(_draw(rng, (m, n))) for _ in range(k)]
+
+    p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
+    chosen, rates = {}, {}
+    for token in cfg.quantizers:
+        kind, _, _ = parse_quantizer(token)
+        if kind == "full":
+            h_hat = h_true / np.linalg.norm(h_true, axis=1, keepdims=True)
+            chosen[token] = (h_hat, None, None)
+        else:
+            rows, picks, books = [], [], []
+            for u in range(k):
+                cb = bases[u]
+                if kind in ("rvq_corr", "mvcq"):
+                    cb = _unit_columns(factors[u] @ cb)
+                if kind == "mvcq":
+                    root_a = np.sqrt(profiles.codebook[token][u])
+                    cb = _unit_columns(root_a[:, None] * cb)
+                picks.append(int(np.argmax(np.abs(h_true[u].conj() @ cb))))
+                rows.append(cb[:, picks[-1]])
+                books.append(cb)
+            h_hat = np.stack(rows)
+            chosen[token] = (h_hat, picks, books)
+        for prec in cfg.precoders:
+            p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
+            rates[(prec, token)] = sum_rate(received_sinr(h_true, p.normalized, p_t))
+    return chosen, rates
+
+
+def _kernel_cfg(lens_enabled, **overrides):
     quantizers = ("full", "rvq", "rvq_corr")
     if lens_enabled:
         quantizers += ("mvcq", "mvcq:gaussian", "mvcq:sub_bpm:5")
-    cfg = _small_cfg(lens_enabled=lens_enabled, bits=3, quantizers=quantizers,
-                     trials=4)
+    return _small_cfg(lens_enabled=lens_enabled, quantizers=quantizers,
+                      **overrides)
+
+
+def _factors(cfg):
+    return [matrix_sqrt(correlation_matrix(u, cfg.array.num_antennas,
+                                           cfg.array.spacing))
+            for u in cfg.users]
+
+
+@pytest.mark.parametrize("lens_enabled", [True, False])
+def test_monte_carlo_matches_reference_cells(lens_enabled):
+    cfg = _kernel_cfg(lens_enabled, bits=3, trials=4)
     profiles = build_scenario_profiles(cfg)
     res = run_monte_carlo(cfg, profiles)
-    factors = [matrix_sqrt(correlation_matrix(u, cfg.array.num_antennas,
-                                              cfg.array.spacing))
-               for u in cfg.users]
+    factors = _factors(cfg)
     ref = {c: np.empty_like(r) for c, r in res.rates.items()}
     for si in range(len(cfg.snr_db)):
         for ti in range(cfg.trials):
             for c, rate in _reference_cell_rates(cfg, profiles, factors,
                                                  si, ti).items():
                 ref[c][si, ti] = rate
-    assert set(ref) == {(p, q) for p in ("zf", "mrt") for q in quantizers}
+    assert set(ref) == {(p, q) for p in ("zf", "mrt") for q in cfg.quantizers}
     for c in ref:
         assert np.array_equal(res.rates[c], ref[c]), c
+
+
+@pytest.mark.parametrize("lens_enabled", [True, False])
+def test_monte_carlo_matches_the_normalized_chain(monkeypatch, lens_enabled):
+    """Scoring raw codewords by |h^H w_j| / |w_j| and normalizing only the
+    chosen one picks the same codeword as normalizing every construction
+    step, for every quantizer kind and both precoders; rates agree to
+    rounding, and exactly for the unquantized channel."""
+    cfg = _kernel_cfg(lens_enabled, bits=4, trials=6)
+    profiles = build_scenario_profiles(cfg)
+    fed_back = []
+    for name in ("zf_precoder", "mrt_precoder"):
+        def record(h_hat, _precoder=getattr(linklevel, name)):
+            fed_back.append(h_hat)
+            return _precoder(h_hat)
+        monkeypatch.setattr(linklevel, name, record)
+    res = run_monte_carlo(cfg, profiles)
+    monkeypatch.undo()
+
+    factors = _factors(cfg)
+    calls = iter(fed_back)
+    picks = 0
+    for si in range(len(cfg.snr_db)):
+        for ti in range(cfg.trials):
+            chosen, rates = _normalized_chain_cell(cfg, profiles, factors, si, ti)
+            for token in cfg.quantizers:
+                ref_hat, ref_picks, books = chosen[token]
+                for prec in cfg.precoders:
+                    h_hat = next(calls)
+                    rate = res.rates[(prec, token)][si, ti]
+                    if ref_picks is None:
+                        assert np.array_equal(h_hat, ref_hat)
+                        assert rate == rates[(prec, token)]
+                        continue
+                    got = [int(np.argmax(np.abs(b.conj().T @ row)))
+                           for b, row in zip(books, h_hat)]
+                    assert got == ref_picks, (token, si, ti)
+                    assert np.allclose(h_hat, ref_hat, rtol=0.0, atol=1e-12)
+                    assert rate == pytest.approx(rates[(prec, token)], rel=1e-12)
+                    picks += len(got)
+    assert next(calls, None) is None
+    assert picks == (len(cfg.quantizers) - 1) * len(cfg.precoders) * \
+        cfg.num_users * len(cfg.snr_db) * cfg.trials
 
 
 def test_monte_carlo_seed_changes_results():
