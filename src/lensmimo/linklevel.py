@@ -3,8 +3,9 @@
 Signal model (transposed convention, no conjugation on the channel):
 y_k = sqrt(P) h_k^T sum_j g_j s_j + n_k with unit-variance noise, so the
 transmit power in dB doubles as the SNR axis. Precoders are built only from
-the directions users feed back, chosen by feedback's codebook functions. No file
-I/O: the CLI writes the results through profile_cache.write_table.
+the directions users feed back, chosen by feedback's codebook functions. The
+precoders, SINR and sum rate take stacks, so the Monte Carlo precodes a block
+of cells at once. No file I/O: the CLI writes through profile_cache.write_table.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .feedback import (GaussianProfileModel, correlate_codewords, fit_gaussian_m
 from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
 
 COND_LIMIT = 1e12
+BLOCK_MATRICES = 32    # (K, M) matrices precoded at once: ~1 MB at K = 4, M = 64
 SECTOR_DEG = 30.0
 # angles the Gaussian spot model is fitted at: five-degree steps across the sector
 GAUSSIAN_ANCHORS_DEG = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 5.0)
@@ -37,8 +39,8 @@ MVCQ_SOURCES = ("bpm", "gaussian", "sub_bpm")
 class Precoder:
     """Raw columns F and the power-normalized columns G, g_k = f_k/(sqrt(K)|f_k|)."""
 
-    columns: np.ndarray      # (M, K)
-    normalized: np.ndarray   # (M, K), total power sum |g_k|^2 = 1
+    columns: np.ndarray      # (..., M, K)
+    normalized: np.ndarray   # (..., M, K), total power sum |g_k|^2 = 1
 
 
 def parse_quantizer(token: str) -> tuple[str, str, int]:
@@ -169,67 +171,62 @@ class ScenarioConfig:
         ]
 
 
-def _coherence_pair(h_hat: np.ndarray) -> tuple[int, int]:
-    rows = h_hat / np.linalg.norm(h_hat, axis=1, keepdims=True)
-    gram = np.abs(rows @ rows.conj().T)
-    np.fill_diagonal(gram, 0.0)
-    i, j = np.unravel_index(np.argmax(gram), gram.shape)
-    return int(min(i, j)), int(max(i, j))
-
-
 def _normalize(f: np.ndarray) -> np.ndarray:
-    k = f.shape[1]
-    norms = np.linalg.norm(f, axis=0)
+    norms = np.linalg.norm(f, axis=-2, keepdims=True)
     if np.any(norms == 0):
         raise DomainError("precoder has a zero column")
-    return f / (np.sqrt(k) * norms)
+    return f / (np.sqrt(f.shape[-1]) * norms)
 
 
 def zf_precoder(h_hat: np.ndarray) -> Precoder:
     """Zero-forcing columns F = pinv(H), so h_k^T f_j = delta_kj before scaling.
 
-    One SVD gives cond(H) and pinv(H), formed as np.linalg.pinv forms it;
-    below COND_LIMIT no singular value falls under pinv's 1e-15 cutoff.
+    One SVD per stacked matrix gives cond(H) and pinv(H), formed as np.linalg.pinv
+    forms it; below COND_LIMIT no singular value falls under pinv's 1e-15 cutoff.
     """
     h_hat = np.atleast_2d(h_hat)
     try:
         u, s, vt = np.linalg.svd(h_hat.conj(), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"SVD of the channel matrix failed: {exc}") from exc
-    cond = s[0] / s[-1] if s[-1] > 0 else np.inf
-    if not cond <= COND_LIMIT:
-        i, j = _coherence_pair(h_hat)
+    cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf),
+                     where=s[..., -1] > 0)
+    if not np.all(cond <= COND_LIMIT):
+        j = np.unravel_index(np.argmin(cond <= COND_LIMIT), cond.shape)
+        rows = h_hat[j] / np.linalg.norm(h_hat[j], axis=1, keepdims=True)
+        gram = np.abs(rows @ rows.conj().T)
+        np.fill_diagonal(gram, 0.0)
+        i, k = sorted(np.unravel_index(np.argmax(gram), gram.shape))
         raise DomainError(
-            f"channel matrix is ill-conditioned (cond={cond:.3g}); users "
-            f"{i} and {j} have near-collinear directions")
-    f = vt.T @ ((1.0 / s)[:, None] * u.T)
+            f"channel matrix is ill-conditioned (cond={cond[j]:.3g}); users "
+            f"{i} and {k} have near-collinear directions")
+    f = vt.swapaxes(-1, -2) @ ((1.0 / s)[..., None] * u.swapaxes(-1, -2))
     return Precoder(columns=f, normalized=_normalize(f))
 
 
 def mrt_precoder(h_hat: np.ndarray) -> Precoder:
     """Matched columns f_k = conj(h_k) for the transposed signal model."""
     h_hat = np.atleast_2d(h_hat)
-    norms = np.linalg.norm(h_hat, axis=1)
-    if np.any(norms == 0):
+    if not np.linalg.norm(h_hat, axis=-1).all():
         raise DomainError("channel matrix has a zero row")
-    f = h_hat.conj().T
+    f = h_hat.conj().swapaxes(-1, -2)
     return Precoder(columns=f, normalized=_normalize(f))
 
 
-def received_sinr(h_tilde: np.ndarray, g: np.ndarray, p_t: float) -> np.ndarray:
-    """Exact per-user SINR on the true channel with unit noise variance."""
-    h_tilde = np.atleast_2d(h_tilde)
-    t2 = np.abs(h_tilde @ g) ** 2
-    sig = p_t * np.diag(t2)
-    interf = p_t * (t2.sum(axis=1) - np.diag(t2))
-    return sig / (interf + 1.0)
+def received_sinr(h_tilde: np.ndarray, g: np.ndarray,
+                  p_t: float | np.ndarray) -> np.ndarray:
+    """Exact per-user SINR (..., K) on the true channel with unit noise variance."""
+    t2 = np.abs(np.atleast_2d(h_tilde) @ g) ** 2
+    sig = np.diagonal(t2, axis1=-2, axis2=-1)
+    return p_t * sig / (p_t * (t2.sum(axis=-1) - sig) + 1.0)
 
 
-def sum_rate(sinrs: np.ndarray) -> float:
+def sum_rate(sinrs: np.ndarray) -> np.ndarray:
+    """Sum of log2(1 + SINR) over the last axis, one rate per SINR vector."""
     sinrs = np.asarray(sinrs, dtype=float)
     if np.any(sinrs < 0):
         raise DomainError("SINR values must be nonnegative")
-    return float(np.sum(np.log2(1.0 + sinrs)))
+    return np.log2(1.0 + sinrs).sum(axis=-1)
 
 
 @dataclass
@@ -296,8 +293,9 @@ class SimResult:
 
 def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, blocks: np.ndarray,
                lens_roots: np.ndarray | None, roots: dict[str, np.ndarray],
-               kinds: list[tuple[str, str]], rates: dict, si: int, ti: int) -> None:
-    """Write every (precoder, quantizer) sum rate of one Monte-Carlo cell.
+               kinds: list[tuple[str, str]], h_true: np.ndarray, h_hat: np.ndarray,
+               si: int, ti: int) -> None:
+    """Draw one Monte-Carlo cell into h_true (K, M) and h_hat (quantizers, K, M).
 
     The substream is keyed by (snr index, trial index) so results do not
     depend on execution order; the K channels are drawn before the K
@@ -307,30 +305,49 @@ def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, blocks: np.ndarray,
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
     h = draw_channel(factors, rng)
-    if lens_roots is not None:
-        h = lens_roots * h
+    h_true[:] = h = h if lens_roots is None else lens_roots * h
     bases = random_codebook(cfg.array.num_antennas, cfg.bits, rng, cfg.num_users)
     correlated = None
-
-    p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
-    for token, kind in kinds:
+    for q, (token, kind) in enumerate(kinds):
         if kind == "full":
-            h_hat = h / np.linalg.norm(h, axis=1, keepdims=True)
-        elif kind == "rvq":
-            h_hat = select_codeword(h, bases)
-        else:
-            if correlated is None:
-                correlated = correlate_codewords(bases, blocks)
-            h_hat = select_codeword(h, correlated, roots.get(token))
-        for prec in cfg.precoders:
-            try:
-                p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
-            except LensMimoError as exc:
-                raise type(exc)(
-                    f"{exc} (quantizer {token}, snr {cfg.snr_db[si]} dB, "
-                    f"trial {ti})") from exc
-            rates[(prec, token)][si, ti] = sum_rate(
-                received_sinr(h, p.normalized, p_t))
+            h_hat[q] = h / np.linalg.norm(h, axis=1, keepdims=True)
+            continue
+        if kind != "rvq" and correlated is None:
+            correlated = correlate_codewords(bases, blocks)
+        h_hat[q] = select_codeword(h, bases if kind == "rvq" else correlated,
+                                   roots.get(token))
+
+
+def _precode_block(cfg: ScenarioConfig, h_true: np.ndarray, h_hat: np.ndarray,
+                   first: int) -> np.ndarray:
+    """Sum rates (cells, quantizers, precoders) of the cells from flat index first
+    on: one precoder, SINR and sum-rate call per precoder, with no numpy warning.
+    A failure names its first cell in (snr, trial, quantizer, precoder) order."""
+    def context(c: int, q: int) -> str:
+        si, ti = divmod(first + c, cfg.trials)
+        return f"(quantizer {cfg.quantizers[q]}, snr {cfg.snr_db[si]} dB, trial {ti})"
+
+    p_t = np.array([10.0 ** (cfg.snr_db[(first + c) // cfg.trials] / 10.0)
+                    for c in range(len(h_hat))])[:, None, None]
+    precoders = [zf_precoder if p == "zf" else mrt_precoder for p in cfg.precoders]
+    rates = np.empty((*h_hat.shape[:2], len(precoders)))
+    for i, precoder in enumerate(precoders):
+        try:
+            g = precoder(h_hat).normalized
+        except LensMimoError:
+            for c, q, p in np.ndindex(*h_hat.shape[:2], len(precoders)):
+                try:
+                    precoders[p](h_hat[c, q])
+                except LensMimoError as exc:
+                    raise type(exc)(f"{exc} {context(c, q)}") from exc
+            raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates[..., i] = sum_rate(received_sinr(h_true[:, None], g, p_t))
+    if not np.isfinite(rates).all():
+        c, q, i = np.argwhere(~np.isfinite(rates))[0]
+        raise DomainError(f"precoder {cfg.precoders[i]} gave a non-finite sum rate "
+                          f"{context(c, q)}")
+    return rates
 
 
 def run_monte_carlo(cfg: ScenarioConfig,
@@ -343,32 +360,30 @@ def run_monte_carlo(cfg: ScenarioConfig,
     """
     if profiles is None:
         profiles = build_scenario_profiles(cfg)
-    m = cfg.array.num_antennas
+    k, m = cfg.num_users, cfg.array.num_antennas
     factors = np.stack([matrix_sqrt(correlation_matrix(u, m, cfg.array.spacing))
                         for u in cfg.users])
     blocks = real_block(factors)
     # apply_lens on all-ones rows checks each profile once and returns sqrt(a)
-    ones = np.ones((cfg.num_users, m))
+    ones = np.ones((k, m))
     lens_roots = None if profiles.channel is None else apply_lens(ones, profiles.channel)
     roots = {t: apply_lens(ones, a) for t, a in profiles.codebook.items()}
     kinds = [(t, parse_quantizer(t)[0]) for t in cfg.quantizers]
-    combos = [(p, q) for p in cfg.precoders for q in cfg.quantizers]
     n_snr, n_tr = len(cfg.snr_db), cfg.trials
-    rates = {c: np.empty((n_snr, n_tr)) for c in combos}
-    for si in range(n_snr):
-        for ti in range(n_tr):
-            _fill_cell(cfg, factors, blocks, lens_roots, roots, kinds, rates,
-                       si, ti)
-    for prec, token in combos:
-        if not np.all(np.isfinite(rates[(prec, token)])):
-            raise DomainError(
-                f"precoder {prec} with quantizer {token} gave non-finite sum rates")
-
-    mean = {c: rates[c].mean(axis=1) for c in combos}
-    if n_tr > 1:
-        stderr = {c: rates[c].std(axis=1, ddof=1) / np.sqrt(n_tr) for c in combos}
-    else:
-        stderr = {c: np.zeros(n_snr) for c in combos}
+    n_cells, per_block = n_snr * n_tr, max(1, BLOCK_MATRICES // len(kinds))
+    h_true = np.empty((per_block, k, m), dtype=complex)
+    h_hat = np.empty((per_block, len(kinds), k, m), dtype=complex)
+    out = np.empty((len(cfg.precoders), len(kinds), n_cells))
+    for first in range(0, n_cells, per_block):
+        n = min(per_block, n_cells - first)
+        for c in range(n):
+            _fill_cell(cfg, factors, blocks, lens_roots, roots, kinds, h_true[c],
+                       h_hat[c], *divmod(first + c, n_tr))
+        out[:, :, first:first + n] = _precode_block(cfg, h_true[:n], h_hat[:n], first).T
+    rates = {(p, t): out[i, q].reshape(n_snr, n_tr)
+             for i, p in enumerate(cfg.precoders) for q, t in enumerate(cfg.quantizers)}
+    mean = {c: r.mean(axis=1) for c, r in rates.items()}
+    stderr = {c: r.std(axis=1, ddof=1) / np.sqrt(n_tr) if n_tr > 1 else np.zeros(n_snr)
+              for c, r in rates.items()}
     return SimResult(scenario=cfg, snr_db=np.asarray(cfg.snr_db, dtype=float),
                      mean=mean, stderr=stderr, rates=rates)
-

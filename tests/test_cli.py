@@ -262,6 +262,23 @@ def test_non_finite_correlation_fails_before_any_cell(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_extreme_snr_fails_at_its_first_cell(tmp_path, capsys):
+    """10^308 is finite, so the grid passes validation, but the received
+    power overflows: exit 3 naming the first non-finite cell, with no numpy
+    warning and nothing written."""
+    p = _small_ini(tmp_path / "loud.ini", {"scenario": {"precoders": "zf, mrt"},
+                                           "simulation": {"snr_db": "3000, 3080"}})
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(p), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DOMAIN
+    assert err.splitlines() == [
+        "numerical error: precoder zf gave a non-finite sum rate "
+        "(quantizer mvcq, snr 3080.0 dB, trial 0)"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, section, key, value", [
     ("lens-profile", "grid", "dx", "1e-300"),
     ("lens-profile", "grid", "window", "1e200"),

@@ -154,6 +154,37 @@ def test_sum_rate_values():
         sum_rate(np.array([-0.5]))
 
 
+@pytest.mark.parametrize("k", [1, 4])
+def test_stacked_calls_equal_single_calls(k):
+    """A stack of n matrices gives bit for bit what n single calls give."""
+    rng = np.random.default_rng(20 + k)
+    h_hat, h_true = _draw(rng, (7, k, 64)), _draw(rng, (7, k, 64))
+    p_t = 10.0 ** rng.uniform(0.0, 2.0, 7)
+    for precoder in (zf_precoder, mrt_precoder):
+        stacked = precoder(h_hat)
+        singles = [precoder(h) for h in h_hat]
+        assert np.array_equal(stacked.columns, np.stack([p.columns for p in singles]))
+        assert np.array_equal(stacked.normalized,
+                              np.stack([p.normalized for p in singles]))
+        sinrs = received_sinr(h_true, stacked.normalized, p_t[:, None])
+        assert np.array_equal(sinrs, np.stack([
+            received_sinr(h, single.normalized, power)
+            for h, single, power in zip(h_true, singles, p_t)]))
+        assert np.array_equal(sum_rate(sinrs), [sum_rate(s) for s in sinrs])
+
+
+def test_stacked_zf_names_the_first_collinear_matrix():
+    rng = np.random.default_rng(27)
+    h_hat = _draw(rng, (7, 4, 64))
+    for j in (5, 2):
+        h_hat[j, 3] = h_hat[j, 1] * (1.0 + 1e-15)
+    with pytest.raises(DomainError, match="near-collinear") as single:
+        zf_precoder(h_hat[2])
+    with pytest.raises(DomainError, match="near-collinear") as stacked:
+        zf_precoder(h_hat)
+    assert str(stacked.value) == str(single.value)
+
+
 # ---------------------------------------------------------------------------
 # quantizer tokens and scenario validation
 
@@ -237,13 +268,19 @@ def test_monte_carlo_is_seed_deterministic():
         assert np.array_equal(r1.rates[combo], r2.rates[combo])
 
 
+def _cells_per_block(cfg):
+    return max(1, linklevel.BLOCK_MATRICES // len(cfg.quantizers))
+
+
 def test_monte_carlo_trial_prefix_is_stable():
     """Each cell's substream is keyed by its (snr, trial) indices, so more
-    trials leave the earlier ones bit for bit unchanged."""
-    long = run_monte_carlo(_small_cfg(trials=12))
+    trials leave the earlier ones bit for bit unchanged, also when the
+    longer run precodes its cells in more blocks."""
     short = run_monte_carlo(_small_cfg(trials=5))
-    for combo in long.rates:
-        assert np.array_equal(long.rates[combo][:, :5], short.rates[combo])
+    for trials in (12, _cells_per_block(_small_cfg()) + 3):
+        long = run_monte_carlo(_small_cfg(trials=trials))
+        for combo in long.rates:
+            assert np.array_equal(long.rates[combo][:, :5], short.rates[combo])
 
 
 def _cell_rng(cfg, si, ti):
@@ -345,19 +382,21 @@ def _factors(cfg):
 
 @pytest.mark.parametrize("lens_enabled", [True, False])
 def test_monte_carlo_matches_reference_cells(lens_enabled):
+    """Also past a block boundary, where the kernel precodes in two blocks."""
     cfg = _kernel_cfg(lens_enabled, bits=3, trials=4)
-    profiles = build_scenario_profiles(cfg)
-    res = run_monte_carlo(cfg, profiles)
-    factors = _factors(cfg)
-    ref = {c: np.empty_like(r) for c, r in res.rates.items()}
-    for si in range(len(cfg.snr_db)):
-        for ti in range(cfg.trials):
-            for c, rate in _reference_cell_rates(cfg, profiles, factors,
-                                                 si, ti).items():
-                ref[c][si, ti] = rate
-    assert set(ref) == {(p, q) for p in ("zf", "mrt") for q in cfg.quantizers}
-    for c in ref:
-        assert np.array_equal(res.rates[c], ref[c]), c
+    profiles, factors = build_scenario_profiles(cfg), _factors(cfg)
+    for trials in (4, _cells_per_block(cfg) + 3):
+        cfg = _kernel_cfg(lens_enabled, bits=3, trials=trials)
+        res = run_monte_carlo(cfg, profiles)
+        ref = {c: np.empty_like(r) for c, r in res.rates.items()}
+        for si in range(len(cfg.snr_db)):
+            for ti in range(cfg.trials):
+                for c, rate in _reference_cell_rates(cfg, profiles, factors,
+                                                     si, ti).items():
+                    ref[c][si, ti] = rate
+        assert set(ref) == {(p, q) for p in ("zf", "mrt") for q in cfg.quantizers}
+        for c in ref:
+            assert np.array_equal(res.rates[c], ref[c]), (trials, c)
 
 
 @pytest.mark.parametrize("lens_enabled", [True, False])
@@ -368,17 +407,19 @@ def test_monte_carlo_matches_the_normalized_chain(monkeypatch, lens_enabled):
     rounding, and exactly for the unquantized channel."""
     cfg = _kernel_cfg(lens_enabled, bits=4, trials=6)
     profiles = build_scenario_profiles(cfg)
-    fed_back = []
-    for name in ("zf_precoder", "mrt_precoder"):
-        def record(h_hat, _precoder=getattr(linklevel, name)):
-            fed_back.append(h_hat)
+    fed_back = {"zf": [], "mrt": []}
+    for prec in fed_back:
+        name = f"{prec}_precoder"
+        def record(h_hat, _precoder=getattr(linklevel, name), _log=fed_back[prec]):
+            # the kernel precodes a block of cells at once: log each matrix
+            _log.extend(h_hat.reshape(-1, *h_hat.shape[-2:]).copy())
             return _precoder(h_hat)
         monkeypatch.setattr(linklevel, name, record)
     res = run_monte_carlo(cfg, profiles)
     monkeypatch.undo()
 
     factors = _factors(cfg)
-    calls = iter(fed_back)
+    calls = {prec: iter(log) for prec, log in fed_back.items()}
     picks = 0
     for si in range(len(cfg.snr_db)):
         for ti in range(cfg.trials):
@@ -386,7 +427,7 @@ def test_monte_carlo_matches_the_normalized_chain(monkeypatch, lens_enabled):
             for token in cfg.quantizers:
                 ref_hat, ref_picks, books = chosen[token]
                 for prec in cfg.precoders:
-                    h_hat = next(calls)
+                    h_hat = next(calls[prec])
                     rate = res.rates[(prec, token)][si, ti]
                     if ref_picks is None:
                         assert np.array_equal(h_hat, ref_hat)
@@ -398,7 +439,7 @@ def test_monte_carlo_matches_the_normalized_chain(monkeypatch, lens_enabled):
                     assert np.allclose(h_hat, ref_hat, rtol=0.0, atol=1e-12)
                     assert rate == pytest.approx(rates[(prec, token)], rel=1e-12)
                     picks += len(got)
-    assert next(calls, None) is None
+    assert all(next(log, None) is None for log in calls.values())
     assert picks == (len(cfg.quantizers) - 1) * len(cfg.precoders) * \
         cfg.num_users * len(cfg.snr_db) * cfg.trials
 
@@ -431,6 +472,30 @@ def test_monte_carlo_attaches_trial_context(monkeypatch):
                      snr_db=(10.0,))
     with pytest.raises(DomainError,
                        match=r"quantizer rvq, snr 10.0 dB, trial 0"):
+        run_monte_carlo(cfg)
+
+
+def test_zf_failure_in_a_later_block_names_its_trial(monkeypatch):
+    """Collinear fed-back rows at one trial of the second block fail ZF with
+    that trial's context, as the cell-by-cell kernel reported it; a zero row
+    at the next trial, which fails the first precoder (MRT), comes later in
+    (snr, trial, quantizer, precoder) order."""
+    cfg = _small_cfg(precoders=("mrt", "zf"), quantizers=("rvq",), snr_db=(10.0,))
+    bad = _cells_per_block(cfg) + 2
+    cfg = _small_cfg(precoders=("mrt", "zf"), quantizers=("rvq",), snr_db=(10.0,),
+                     trials=bad + 4)
+    calls = iter(range(cfg.trials))
+
+    def fail_from_bad(h, w, root_a=None):
+        rows, trial = select_codeword(h, w, root_a), next(calls)
+        if trial == bad:
+            rows[1] = rows[0]
+        elif trial == bad + 1:
+            rows[0] = 0.0
+        return rows
+    monkeypatch.setattr(linklevel, "select_codeword", fail_from_bad)
+    with pytest.raises(DomainError, match=r"users 0 and 1 have near-collinear "
+                       rf"directions \(quantizer rvq, snr 10.0 dB, trial {bad}\)$"):
         run_monte_carlo(cfg)
 
 
