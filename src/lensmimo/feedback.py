@@ -93,6 +93,14 @@ def _gauss(y, p, q, r):
     return p * np.exp(-((y - q) / r) ** 2)
 
 
+def _gauss_jac(y, p, q, r):
+    """Columns d/dp, d/dq, d/dr of _gauss at the samples y."""
+    u = (y - q) / r
+    e = np.exp(-u * u)
+    dq = 2.0 * p * e * u / r
+    return np.column_stack((e, dq, dq * u))
+
+
 def antenna_coordinates(lens: LensSpec, array: ArraySpec) -> np.ndarray:
     """Centers of the antenna cells tiling the aperture, in wavelengths."""
     m = array.num_antennas
@@ -166,7 +174,7 @@ def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
         hi = (peak * 1e3, y[-1] + 2.0 * lens.aperture, 4.0 * lens.aperture)
         try:
             popt, _ = curve_fit(_gauss, y, a, p0=p0, bounds=(lo, hi),
-                                maxfev=20000)
+                                jac=_gauss_jac, maxfev=20000)
         except RuntimeError as exc:
             raise DomainError(f"gaussian fit failed at {ang} deg: {exc}") from exc
         popt[0], popt[2] = abs(popt[0]), abs(popt[2])

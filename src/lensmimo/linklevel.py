@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_prof
 
 COND_LIMIT = 1e12
 BLOCK_MATRICES = 32    # (K, M) matrices precoded at once: ~1 MB at K = 4, M = 64
+# the largest array a scenario may make the kernel allocate: 2^24 floats, 128 MB
+MAX_BUFFER_VALUES = 2 ** 24
 SECTOR_DEG = 30.0
 # angles the Gaussian spot model is fitted at: five-degree steps across the sector
 GAUSSIAN_ANCHORS_DEG = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 5.0)
@@ -139,6 +141,17 @@ class ScenarioConfig:
                     "lens power profile)")
         if not self.snr_db:
             raise ConfigError("snr grid is empty")
+        m, cells = self.array.num_antennas, self.trials * len(self.snr_db)
+        for what, size in (
+                (f"the sum rates ({cells} cells x {len(self.precoders)} precoders x "
+                 f"{len(self.quantizers)} quantizers)",
+                 cells * len(self.precoders) * len(self.quantizers)),
+                (f"the correlation factors ({k} x {2 * m} x {2 * m} reals)", 4 * k * m * m),
+                (f"the per-cell codebook draw ({k} x {2 * m} x {2 ** self.bits} reals)",
+                 k * 2 * m * 2 ** self.bits)):
+            if size > MAX_BUFFER_VALUES:
+                raise ConfigError(f"{what} would take {size} values, over the limit "
+                                  f"of {MAX_BUFFER_VALUES} per array")
 
     @property
     def num_users(self) -> int:
@@ -238,10 +251,26 @@ class ScenarioProfiles:
 
 
 def fit_sector_model(profile_at: Callable[[float], np.ndarray], lens: LensSpec,
-                     array: ArraySpec) -> GaussianProfileModel:
-    """Fit the Gaussian spot model to profile_at(angle) at the sector anchors."""
-    return fit_gaussian_model({float(a): profile_at(float(a))
-                               for a in GAUSSIAN_ANCHORS_DEG}, lens, array)
+                     array: ArraySpec, angles_deg: Sequence[float] | None = None
+                     ) -> GaussianProfileModel:
+    """Fit the Gaussian spot model to profile_at(angle) at the sector anchors.
+
+    Given angles, only the anchors PCHIP reads there are fitted: anchors
+    i-1..i+2 around each angle's interval [x_i, x_i+1], widened to at least
+    five, which gives the whole-sector model's values at those angles exactly.
+    """
+    anchors = GAUSSIAN_ANCHORS_DEG
+    if angles_deg is not None:
+        n = anchors.size
+        i = np.clip(np.searchsorted(anchors, angles_deg, side="right") - 1, 0, n - 2)
+        keep = np.zeros(n, dtype=bool)
+        keep[np.clip(np.add.outer(i, np.arange(-1, 3)), 0, n - 1)] = True
+        while keep.sum() < 5:
+            lo, hi = np.flatnonzero(keep)[[0, -1]]
+            keep[max(lo - 1, 0):hi + 2] = True
+        anchors = anchors[keep]
+    return fit_gaussian_model({float(a): profile_at(float(a)) for a in anchors},
+                              lens, array)
 
 
 def build_scenario_profiles(cfg: ScenarioConfig,
@@ -270,7 +299,8 @@ def build_scenario_profiles(cfg: ScenarioConfig,
             codebook[token] = exact
         elif source == "gaussian":
             if model is None:
-                model = fit_sector_model(profile_at, lens, array)
+                model = fit_sector_model(profile_at, lens, array,
+                                         [u.angle_deg for u in cfg.users])
             codebook[token] = np.stack([
                 gaussian_profile(u.angle_deg, model, array, lens)
                 for u in cfg.users])

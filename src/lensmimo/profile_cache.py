@@ -148,12 +148,12 @@ def read_profile_table(path, expected_params: dict | None = None) -> ProfileTabl
     params: dict = {}
     stored_hash = None
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("aod_deg"):
-                continue
-            try:
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("aod_deg"):
+                    continue
                 if line.startswith("#"):
                     key, _, val = line[1:].partition("=")
                     key = key.strip()
@@ -163,14 +163,16 @@ def read_profile_table(path, expected_params: dict | None = None) -> ProfileTabl
                     else:
                         params[key] = float(val)
                 else:
-                    rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"profile cache {path} has an unparsable line ({exc}); "
-                    "rebuild the cache") from exc
-    if not rows:
-        raise ConfigError(f"profile cache {path} holds no rows")
-    if len({len(r) for r in rows}) > 1:
+                    rows.append(line)
+        if not rows:
+            raise ConfigError(f"profile cache {path} holds no rows")
+        # every row in one parse, numpy converting each token as float() does
+        values = np.array(",".join(rows).split(","), dtype=float)
+    except ValueError as exc:
+        raise ConfigError(
+            f"profile cache {path} has an unparsable line ({exc}); "
+            "rebuild the cache") from exc
+    if len({r.count(",") for r in rows}) > 1:
         raise ConfigError(
             f"profile cache {path} has rows of unequal length; rebuild the cache")
     if stored_hash != params_digest(params):
@@ -183,7 +185,7 @@ def read_profile_table(path, expected_params: dict | None = None) -> ProfileTabl
             raise ConfigError(
                 f"profile cache {path} was built for different parameters; "
                 "rebuild the cache")
-    data = np.asarray(rows)
+    data = values.reshape(len(rows), -1)
     table = ProfileTable(aods_deg=data[:, 0], profiles=data[:, 1:], params=params)
     if fault := table.fault():
         raise ConfigError(f"profile cache {path} holds {fault}; rebuild the cache")

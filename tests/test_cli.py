@@ -298,6 +298,32 @@ def test_allocation_size_inputs_exit_config(tmp_path, capsys, command, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, old, new", [
+    ("four_user_downlink.ini", "trials = 1000", "trials = 10000000000000"),
+    ("four_user_nolens.ini", "[users]", "[array]\nnum_antennas = 10000000\n[users]"),
+    ("four_user_downlink.ini", "bits = 6", "bits = 16"),
+], ids=["trials", "antennas", "codebook_bits"])
+def test_oversized_scenarios_exit_config(tmp_path, capsys, monkeypatch, scenario,
+                                         old, new):
+    """A rate array, correlation factor or per-cell codebook draw over the
+    buffer limit is a configuration error, raised before the kernel
+    allocates anything (these would need 1.6 TB, 13 PB and 268 MB)."""
+    def no_cell(*args):
+        raise AssertionError("a Monte-Carlo cell ran")
+    monkeypatch.setattr(linklevel, "_fill_cell", no_cell)
+    text = (ROOT / "scenarios" / scenario).read_text()
+    assert old in text
+    p = tmp_path / scenario
+    p.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(p), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert f"over the limit of {linklevel.MAX_BUFFER_VALUES} per array" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_code_for_thread_count_below_one(ini_dir, tmp_path, capsys):
     rc = main(["simulate", "--config", str(ini_dir / "small.ini"),
                "--out-dir", str(tmp_path), "--threads", "0"])

@@ -326,6 +326,26 @@ def test_fit_recovers_exact_gaussian(lens, array):
         assert not model.poor_fit[i]
 
 
+def test_gaussian_jacobian_matches_central_differences(lens, array):
+    """The fit's analytic d/dp, d/dq, d/dr against O(h^2) central differences
+    at random spots, bright or faint, centered or off the aperture."""
+    from lensmimo.feedback import _gauss_jac
+    y = (np.arange(array.num_antennas) - (array.num_antennas - 1) / 2.0) \
+        * lens.aperture / array.num_antennas
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        prm = np.array([10.0 ** rng.uniform(-2, 4), rng.uniform(-40, 40),
+                        10.0 ** rng.uniform(-1, 1.5)])
+        jac = _gauss_jac(y, *prm)
+        assert jac.shape == (y.size, 3)
+        for j in range(3):
+            h = np.zeros(3)
+            h[j] = 1e-6 * prm[2 if j else 0]     # q and r step on the width's scale
+            num = (_gauss(y, *(prm + h)) - _gauss(y, *(prm - h))) / (2.0 * h[j])
+            scale = np.abs(jac[:, j]).max() + 1e-300
+            assert np.allclose(jac[:, j], num, rtol=0, atol=1e-6 * scale), (prm, j)
+
+
 def test_fit_requires_five_anchors(lens, array):
     y = np.linspace(-10, 10, array.num_antennas)
     profiles = {a: _gauss(y, 3.0, 0.0, 2.0) for a in (-5.0, 0.0, 5.0)}

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lensmimo import (ArraySpec, ConfigError, DomainError, ScenarioConfig, UserConfig,
-                      antenna_power_profile, apply_lens, correlate_codewords,
-                      correlation_matrix, draw_channel, matrix_sqrt, mrt_precoder,
-                      parse_quantizer, random_codebook, real_block,
+from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec, ScenarioConfig,
+                      UserConfig, antenna_power_profile, apply_lens, correlate_codewords,
+                      correlation_matrix, draw_channel, gaussian_profile, matrix_sqrt,
+                      mrt_precoder, parse_quantizer, random_codebook, real_block,
                       received_sinr, run_monte_carlo, select_codeword, sum_rate,
                       zf_precoder)
 from lensmimo import linklevel
@@ -522,12 +522,61 @@ def test_scenario_profiles_come_from_the_given_source(lens, grid, array):
         return antenna_power_profile(lens, grid, array, aod)
 
     prof = build_scenario_profiles(cfg, profile_at)
+    # users on the -10 and 10 deg anchors lie in [-10, -5] and [10, 15], so
+    # PCHIP reads anchors -15..0 and 5..20 there and nothing beyond
     assert asked == [u.angle_deg for u in cfg.users] + list(
-        linklevel.GAUSSIAN_ANCHORS_DEG)
+        np.arange(-15.0, 20.0 + 1e-9, 5.0))
     ref = build_scenario_profiles(cfg)
     assert np.array_equal(prof.channel, ref.channel)
     for token in cfg.quantizers:
         assert np.array_equal(prof.codebook[token], ref.codebook[token])
+
+
+@pytest.mark.parametrize("focal", (20.0, 30.0, 40.0, 50.0))
+def test_gaussian_profiles_need_only_the_stencil_anchors(focal, grid, array):
+    """PCHIP on [x_i, x_i+1] reads only anchors x_i-1..x_i+2, so the users'
+    mvcq:gaussian rows from the anchors around them equal, bit for bit, the
+    whole-sector model's: single users, users on anchors, at the sector
+    edges, the paper's five, and random sets."""
+    lens = LensSpec(focal_length=focal)
+    cached = {}
+
+    def profile_at(aod):
+        if aod not in cached:
+            cached[aod] = antenna_power_profile(lens, grid, array, aod)
+        return cached[aod]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # poor edge fits are expected here
+        full = linklevel.fit_sector_model(profile_at, lens, array)
+    assert np.array_equal(full.anchors_deg, linklevel.GAUSSIAN_ANCHORS_DEG)
+    rng = np.random.default_rng(int(focal))
+    sets = [(0.0,), (-30.0,), (30.0,), (29.9,), (-27.5,), (-25.0, 25.0),
+            (-30.0, 30.0), (-12.0, -7.0, 0.0, 5.0, 10.0),
+            tuple(linklevel.GAUSSIAN_ANCHORS_DEG)]
+    sets += [tuple(rng.uniform(-30.0, 30.0, rng.integers(1, 6))) for _ in range(6)]
+    for angles in sets:
+        cfg = ScenarioConfig(users=tuple(UserConfig(a) for a in angles), trials=1,
+                             quantizers=("mvcq:gaussian",), lens=lens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = build_scenario_profiles(cfg, profile_at).codebook["mvcq:gaussian"]
+        for a, row in zip(angles, got):
+            assert np.array_equal(row, gaussian_profile(a, full, array, lens)), (a, angles)
+
+
+def test_sector_model_fits_at_least_five_anchors_around_the_angles(lens, array):
+    """Each angle keeps anchors i-1..i+2 around its interval, clipped to the
+    sector; a span under five anchors widens by one on each side."""
+    def spot(aod):
+        return np.exp(-((np.arange(64) - 32.0 - aod) / 6.0) ** 2)
+
+    fitted = {(0.0,): [-10, -5, 0, 5, 10, 15], (30.0,): [10, 15, 20, 25, 30],
+              (-30.0,): [-30, -25, -20, -15, -10], (-2.5, 2.5): [-10, -5, 0, 5, 10],
+              (-22.0, 22.0): [-30, -25, -20, -15, 15, 20, 25, 30]}
+    for angles, anchors in fitted.items():
+        model = linklevel.fit_sector_model(spot, lens, array, angles)
+        assert np.array_equal(model.anchors_deg, anchors), angles
 
 
 def test_profile_shaped_codebook_beats_plain_quantization():

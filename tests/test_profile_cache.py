@@ -1,9 +1,12 @@
 """Round-trip and staleness checks for the swept-profile cache."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lensmimo import ConfigError, DomainError, PropagationGrid
+from lensmimo.cli import main
 from lensmimo.profile_cache import (ProfileTable, build_profile_table,
                                     cache_params, params_digest,
                                     read_profile_table, write_profile_table,
@@ -89,3 +92,48 @@ def test_sector_edges_build_cleanly(lens, array):
                               aods_deg=np.array([-30.0, 0.0, 30.0]))
     assert tab.profiles.shape == (3, array.num_antennas)
     assert np.allclose(tab.profiles.sum(axis=1), array.num_antennas, atol=1e-6)
+
+
+def test_cache_parse_equals_per_token_floats(tmp_path):
+    """The one numpy parse of a real lens-profile cache gives the same table
+    as float() applied token by token."""
+    ini = Path(__file__).resolve().parents[1] / "scenarios" / "four_user_downlink.ini"
+    assert main(["lens-profile", "--config", str(ini), "--cache-dir", str(tmp_path)]) == 0
+    path = next(tmp_path.glob("profiles_*.csv"))
+    ref = np.asarray([[float(tok) for tok in line.split(",")]
+                      for line in path.read_text().splitlines()
+                      if not line.startswith(("#", "aod_deg"))])
+    back = read_profile_table(path)
+    assert ref.shape == (121, 65)
+    assert np.array_equal(back.aods_deg, ref[:, 0])
+    assert np.array_equal(back.profiles, ref[:, 1:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text[:-1] + ",1.0e\n",
+     "has an unparsable line (could not convert string to float: '1.0e'); "
+     "rebuild the cache"),
+    (lambda text: text.rstrip("\n").rpartition(",")[0] + "\n",
+     "has rows of unequal length; rebuild the cache"),
+    (lambda text: text.replace("# f = 40.0", "# f = 41.0"),
+     "header hash does not match its parameters; rebuild the cache"),
+    (lambda text: text.replace("# f = 40.0", "# f = forty"),
+     "has an unparsable line (could not convert string to float: 'forty'); "
+     "rebuild the cache"),
+], ids=["bad_token", "short_row", "edited_header", "bad_header"])
+def test_malformed_cache_messages(tmp_path, table, edit, message):
+    path = tmp_path / "profiles.csv"
+    write_profile_table(path, table)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ConfigError) as info:
+        read_profile_table(path)
+    assert str(info.value) == f"profile cache {path} {message}"
+
+
+def test_undecodable_cache_is_a_config_error(tmp_path, table):
+    """A byte that is not UTF-8 reads as an unparsable line, not a traceback."""
+    path = tmp_path / "profiles.csv"
+    write_profile_table(path, table)
+    path.write_bytes(path.read_bytes()[:-2] + b"\xff\n")
+    with pytest.raises(ConfigError, match=r"unparsable line \('utf-8' codec"):
+        read_profile_table(path)
