@@ -17,7 +17,7 @@ from .linklevel import (Precoder, ScenarioConfig, SimResult, build_scenario_prof
 from .profile_cache import ProfileTable, build_profile_table
 from .waveoptics import (ArraySpec, FieldHistory, LensSpec, PropagationGrid,
                          antenna_power_profile, extract_power_profile,
-                         find_focal_peak, fresnel_transfer, hyperbolic_contour,
-                         lens_phase_profile, lens_thickness, propagate)
+                         find_focal_peak, fresnel_transfer, lens_phase_profile,
+                         propagate)
 
 __version__ = "0.1.0"

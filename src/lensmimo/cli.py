@@ -206,18 +206,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tags = {(p, q): f"{p}_{q.replace(':', '_')}"
             for p in cfg.precoders for q in cfg.quantizers}
     trials = [str(cfg.trials)] * len(result.snr_db)
-    for (prec, quant), tag in tags.items():
-        path = os.path.join(args.out_dir, f"{cfg.name}_{tag}.csv")
-        profile_cache.write_table(
-            path, [*cfg.flat_items(), ("precoder", prec), ("quantizer", quant)],
-            ["snr_db", "mean_sum_rate", "stderr", "trials"],
-            zip(result.snr_db, result.mean[(prec, quant)],
-                result.stderr[(prec, quant)], trials))
+    tables = [(os.path.join(args.out_dir, f"{cfg.name}_{tag}.csv"),
+               [*cfg.flat_items(), ("precoder", prec), ("quantizer", quant)],
+               ["snr_db", "mean_sum_rate", "stderr", "trials"],
+               zip(result.snr_db, result.mean[(prec, quant)],
+                   result.stderr[(prec, quant)], trials))
+              for (prec, quant), tag in tags.items()]
+    tables.append((os.path.join(args.out_dir, f"{cfg.name}_comparison.csv"),
+                   cfg.flat_items(), ["snr_db", *tags.values()],
+                   zip(result.snr_db, *(result.mean[c] for c in tags))))
+    profile_cache.write_tables(tables)
+    for path, *_ in tables:
         print(f"wrote {path}")
-    path = os.path.join(args.out_dir, f"{cfg.name}_comparison.csv")
-    profile_cache.write_table(path, cfg.flat_items(), ["snr_db", *tags.values()],
-                              zip(result.snr_db, *(result.mean[c] for c in tags)))
-    print(f"wrote {path}")
     return EXIT_OK
 
 

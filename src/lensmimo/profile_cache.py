@@ -61,9 +61,11 @@ class ProfileTable:
         return params_digest(self.params)
 
     def fault(self) -> str | None:
-        """Why the rows are not power profiles (finite, nonnegative, each
-        summing to its length M within 1e-9 relative), or None."""
+        """Why the rows are not power profiles (finite, nonnegative, as long
+        as the header's M and each summing to M within 1e-9 relative), or None."""
         prof, m = self.profiles, self.profiles.shape[1]
+        if m != self.params.get("M"):
+            return f"rows of {m} antennas under a header with M = {self.params.get('M')}"
         if not (np.isfinite(self.aods_deg).all() and np.isfinite(prof).all()):
             return "non-finite values"
         if np.any(prof < 0):
@@ -108,31 +110,42 @@ def _checked(cells: list[str], path: str) -> list[str]:
     return cells
 
 
-def write_table(path, header: Iterable[tuple[str, object]],
-                columns: Sequence[str] | None, rows: Iterable[Sequence]) -> None:
-    """Write `# key = value` header lines, the column line and the rows to path.
+def write_tables(tables: Iterable[tuple]) -> None:
+    """Write every (path, header, columns, rows) table in tables as one set.
 
-    String cells are written as given and every other cell as repr(float).
-    Rows stream into a temporary file beside path that replaces it only once
-    complete, so path keeps its old bytes if anything fails, a non-finite
-    value included (DomainError). Missing parent directories are made.
+    A table is `# key = value` header lines, the column line and the rows,
+    string cells as given and other cells as repr(float). Each streams into
+    a temporary file beside its path (parent directories are made), and the
+    files replace their paths only once all are complete. A failure before
+    then, a non-finite value included (DomainError), leaves every path as it
+    was and removes the temporary files made here; one while replacing can
+    still leave old and new files mixed.
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp"
+    made = []
     try:
-        with open(tmp, "w") as fh:
-            for key, value in header:
-                fh.write(f"# {key} = {_checked([f'{value}'], path)[0]}\n")
-            if columns:
-                fh.write(",".join(columns) + "\n")
-            for row in rows:
-                cells = [v if isinstance(v, str) else repr(float(v)) for v in row]
-                fh.write(",".join(_checked(cells, path)) + "\n")
-        os.replace(tmp, path)
+        for path, header, columns, rows in tables:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(f"{path}.tmp", "w") as fh:
+                made.append(path)
+                for key, value in header:
+                    fh.write(f"# {key} = {_checked([f'{value}'], path)[0]}\n")
+                if columns:
+                    fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    cells = [v if isinstance(v, str) else repr(float(v)) for v in row]
+                    fh.write(",".join(_checked(cells, path)) + "\n")
+        for path in made:
+            os.replace(f"{path}.tmp", path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for path in made:
+            if os.path.exists(f"{path}.tmp"):
+                os.remove(f"{path}.tmp")
         raise
+
+
+def write_table(path, header, columns: Sequence[str] | None, rows) -> None:
+    """write_tables for one table."""
+    write_tables([(path, header, columns, rows)])
 
 
 def write_profile_table(path, table: ProfileTable) -> None:

@@ -91,10 +91,6 @@ class LensSpec:
             raise ConfigError(f"lens phase kappa x^2 / (2 f) at the rim is not finite "
                               f"for f = {self.focal_length}, D = {self.aperture}")
 
-    @property
-    def refractive_index(self) -> float:
-        return float(np.sqrt(self.epsilon_r))
-
 
 @dataclass(frozen=True)
 class ArraySpec:
@@ -118,37 +114,6 @@ class FieldHistory:
 
     fields: np.ndarray          # (steps+1, num_samples) complex
     zs: np.ndarray              # (steps+1,)
-    grid: PropagationGrid
-
-
-def lens_thickness(lens: LensSpec) -> float:
-    """Center thickness of the plano-hyperbolic lens.
-
-    Follows from the rim condition: the hyperbolic contour must reach the
-    aperture radius at the back surface.
-    """
-    n = lens.refractive_index
-    f = lens.focal_length
-    d_ap = lens.aperture
-    root = np.sqrt(f * f + (n + 1.0) * d_ap * d_ap / (4.0 * (n - 1.0)))
-    return float((root - f) / (n + 1.0))
-
-
-def hyperbolic_contour(lens: LensSpec, x1) -> np.ndarray:
-    """Contour height y1(x1) of the curved surface.
-
-    x1 is measured from the focal point along the axis; the vertex sits at
-    x1 = f and the rim at x1 = f + thickness.
-    """
-    n = lens.refractive_index
-    f = lens.focal_length
-    x1 = np.asarray(x1, dtype=float)
-    lo, hi = f, f + lens_thickness(lens)
-    if np.any(x1 < lo - 1e-12) or np.any(x1 > hi + 1e-9):
-        raise DomainError(
-            f"contour is defined for x1 in [{lo:.6g}, {hi:.6g}] (vertex to rim)")
-    s = np.clip(x1 - f, 0.0, None)
-    return np.sqrt((n * n - 1.0) * s * s + 2.0 * (n - 1.0) * f * s)
 
 
 def lens_phase_profile(lens: LensSpec, grid: PropagationGrid,
@@ -220,7 +185,7 @@ def propagate(u0: np.ndarray, grid: PropagationGrid, steps: int,
             "more than 1% of the power sits in the outer tenth of the window; "
             "increase the window to avoid wraparound", stacklevel=2)
 
-    return FieldHistory(fields=fields, zs=zs, grid=grid)
+    return FieldHistory(fields=fields, zs=zs)
 
 
 def extract_power_profile(p: np.ndarray, grid: PropagationGrid,

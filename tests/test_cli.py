@@ -1,13 +1,22 @@
 """Scenario parsing, subcommands, exit codes, and output reproducibility."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensmimo import linklevel, profile_cache
 from lensmimo.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main,
@@ -394,6 +403,21 @@ def test_simulate_seed_override(ini_dir, tmp_path):
         (again / "unit_comparison.csv").read_bytes()
 
 
+def test_failed_set_write_keeps_every_old_csv(ini_dir, tmp_path, capsys):
+    """A rerun that cannot write one of its tables, here because a directory
+    holds that table's temporary name, exits 4 before any table is replaced:
+    every earlier CSV keeps its bytes and no temporary file of the run is
+    left beside them."""
+    out = tmp_path / "run"
+    assert _run_simulate(ini_dir, out) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / "unit_mrt_mvcq.csv.tmp").mkdir()
+    assert _run_simulate(ini_dir, out, "--seed", "2") == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert [p.name for p in out.glob("*.tmp")] == ["unit_mrt_mvcq.csv.tmp"]
+
+
 # ---------------------------------------------------------------------------
 # lens-profile and the --no-build path
 
@@ -483,6 +507,51 @@ def test_no_build_rejects_malformed_cache(ini_dir, cache_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_no_build_rejects_rows_shorter_than_the_header_m(ini_dir, cache_dir,
+                                                         tmp_path, capsys):
+    """Rows that are valid 8-antenna profiles under the cache's own,
+    consistently hashed M = 16 header are refused when read: exit 2 before
+    the run, not a failure inside it."""
+    src = next(cache_dir.glob("profiles_*.csv"))
+    lines = []
+    for line in src.read_text().splitlines():
+        if not line.startswith(("#", "aod_deg")):
+            aod, *a = map(float, line.split(","))
+            a = np.array(a[:8])
+            line = ",".join(map(repr, [aod, *(a * (8 / a.sum())).tolist()]))
+        lines.append(line)
+    bad_dir = tmp_path / "cache"
+    bad_dir.mkdir()
+    (bad_dir / src.name).write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = _run_simulate(ini_dir, out, "--cache-dir", str(bad_dir), "--no-build")
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "rows of 8 antennas under a header with M = 16.0" in err
+    assert "rebuild the cache" in err
+    assert not out.exists()
+
+
+def test_lens_profile_refuses_rows_shorter_than_the_header_m(ini_dir, tmp_path,
+                                                            capsys, monkeypatch):
+    """A swept table whose rows disagree with its own M is a numerical
+    error: exit 3 and no cache file."""
+    build = profile_cache.build_profile_table
+
+    def eight_antenna_rows(lens, grid, array):
+        table = build(lens, grid, dataclasses.replace(array, num_antennas=8))
+        return dataclasses.replace(
+            table, params=profile_cache.cache_params(lens, grid, array))
+
+    monkeypatch.setattr(profile_cache, "build_profile_table", eight_antenna_rows)
+    rc = main(["lens-profile", "--config", str(ini_dir / "small.ini"),
+               "--cache-dir", str(tmp_path)])
+    assert rc == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "refusing to cache a profile table with rows of 8 antennas" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_non_finite_profile_is_not_cached(ini_dir, tmp_path, capsys, monkeypatch):
     """A NaN profile is a numerical error: exit 3 and no cache file."""
     monkeypatch.setattr(profile_cache, "antenna_power_profile",
@@ -536,6 +605,143 @@ def test_failed_rewrite_keeps_the_old_cache(ini_dir, tmp_path, capsys, monkeypat
     assert "no space left on device" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cache]
     assert cache.read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# fuzzed sizes and caches: the exit-code contract as a property
+
+LIMIT = linklevel.MAX_BUFFER_VALUES
+
+
+def _run_clean(argv, root, out):
+    """main(argv) under the contract: a documented exit code, no exception,
+    no RuntimeWarning, no temporary file left under root and no non-finite
+    value written to out."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)
+    assert not list(pathlib.Path(root).rglob("*.tmp"))
+    for f in pathlib.Path(out).glob("*"):
+        assert not re.search(r"\b(nan|inf)\b", f.read_text()), f
+    return rc
+
+
+@st.composite
+def _sizes(draw):
+    """(trials, SNR points, M, bits, K, over): sizes within every buffer cap
+    that run in milliseconds, or sizes past one cap by construction."""
+    trials, n_snr, bits, k = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                              draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    m = draw(st.integers(1, 16))
+    over = draw(st.sampled_from(["", "trials", "snr", "antennas", "bits", "users"]))
+    if over == "trials":
+        trials = draw(st.integers(LIMIT + 1, 10 ** 15))
+    elif over == "snr":          # trials x SNR points x 2 precoders x 2 quantizers
+        n_snr = draw(st.integers(1, 2000))
+        trials = draw(st.integers(LIMIT // (4 * n_snr) + 1, 10 ** 12))
+    elif over == "antennas":     # K correlation factors of 2M x 2M reals
+        m = draw(st.integers(2049, 10 ** 9))
+    elif over == "bits":         # one cell's K x 2M x 2^B codebook draw
+        bits = draw(st.integers(13, 40))
+        if bits <= 16:
+            m = draw(st.integers(LIMIT // (2 * k * 2 ** bits) + 1, 2048))
+    elif over == "users":
+        m = draw(st.integers(256, 2048))
+        k = draw(st.integers(LIMIT // (4 * m * m) + 1, m))
+    return trials, n_snr, m, bits, k, over
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=_sizes())
+def test_fuzzed_sizes_keep_the_exit_code_contract(sizes):
+    """Small sizes run or fail cleanly; a size past a cap exits 2 before
+    any profile is built or buffer allocated."""
+    trials, n_snr, m, bits, k, over = sizes
+    angles = ", ".join(f"{a:g}" for a in np.linspace(-20.0, 20.0, k))
+    snr = ", ".join(str(5 * i) for i in range(n_snr))
+    text = (SMALL.replace("num_antennas = 16", f"num_antennas = {m}")
+            .replace("angles = -10, 10", f"angles = {angles}")
+            .replace("bits = 3", f"bits = {bits}")
+            .replace("snr_db = 0, 10", f"snr_db = {snr}")
+            .replace("trials = 4", f"trials = {trials}"))
+    refused = mock.patch.object(linklevel, "build_scenario_profiles",
+                                side_effect=AssertionError("an oversized run started"))
+    with tempfile.TemporaryDirectory() as d, \
+            (refused if over else contextlib.nullcontext()):
+        ini, out = pathlib.Path(d, "fuzz.ini"), pathlib.Path(d, "out")
+        ini.write_text(text)
+        rc = _run_clean(["simulate", "--config", str(ini), "--out-dir", str(out)],
+                        d, out)
+        if over:
+            assert rc == EXIT_CONFIG and not out.exists()
+
+
+def _truncate(draw, blob):
+    return blob[:draw(st.integers(1, max(1, len(blob) - 1)))]
+
+
+def _flip(draw, blob):
+    i = draw(st.integers(0, len(blob) - 1))
+    return blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1:]
+
+
+def _non_utf8(draw, blob):
+    i = draw(st.integers(0, len(blob)))
+    bad = draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"]))
+    return blob[:i] + bad + blob[i:]
+
+
+def _drop_header_lines(draw, blob):
+    lines = blob.split(b"\n")
+    header = [i for i, ln in enumerate(lines) if ln.startswith(b"#")]
+    if not header:
+        return blob
+    drop = draw(st.sets(st.sampled_from(header), min_size=1))
+    return b"\n".join(ln for i, ln in enumerate(lines) if i not in drop)
+
+
+def _wrong_m(draw, blob):
+    """Keep j < M antennas per row, rescaled to sum to j where they parse."""
+    j = draw(st.integers(0, 15))
+    lines = []
+    for ln in blob.split(b"\n"):
+        if ln and not ln.startswith((b"#", b"aod_deg")):
+            cells = ln.split(b",")[:j + 1]
+            try:
+                a = np.array(cells[1:], dtype=float)
+            except ValueError:
+                a = np.zeros(0)
+            with np.errstate(all="ignore"):
+                if 0 < a.sum() < np.inf:
+                    cells[1:] = [repr(v).encode() for v in (a * (j / a.sum())).tolist()]
+            ln = b",".join(cells)
+        lines.append(ln)
+    return b"\n".join(lines)
+
+
+CORRUPTIONS = [_truncate, _flip, _non_utf8, _drop_header_lines, _wrong_m]
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=3),
+       data=st.data())
+def test_fuzzed_caches_keep_the_exit_code_contract(ini_dir, cache_dir, steps, data):
+    """A cache cut short, with flipped or undecodable bytes, missing header
+    lines or rows shorter than its M is served or refused cleanly."""
+    src = next(cache_dir.glob("profiles_*.csv"))
+    blob = src.read_bytes()
+    for corrupt in steps:
+        blob = corrupt(data.draw, blob)
+    with tempfile.TemporaryDirectory() as d:
+        cache, out = pathlib.Path(d, "cache"), pathlib.Path(d, "out")
+        cache.mkdir()
+        (cache / src.name).write_bytes(blob)
+        _run_clean(["simulate", "--config", str(ini_dir / "small.ini"),
+                    "--cache-dir", str(cache), "--out-dir", str(out), "--no-build"],
+                   d, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Wave-optics engine: geometry oracles, conservation, symmetry, regression."""
+"""Wave-optics engine: spec validation, conservation, symmetry, regression."""
 
 import warnings
 
@@ -10,58 +10,11 @@ from hypothesis import strategies as st
 from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec,
                       PropagationGrid, antenna_power_profile,
                       extract_power_profile, find_focal_peak, fresnel_transfer,
-                      hyperbolic_contour, lens_phase_profile, lens_thickness,
-                      propagate)
+                      lens_phase_profile, propagate)
 
 
 # ---------------------------------------------------------------------------
-# lens geometry
-
-
-def test_thickness_matches_rim_condition():
-    """Independent oracle: solve the rim equation numerically and compare.
-
-    The contour must reach the aperture radius at x1 = f + T; solve that
-    quadratic for T with numpy's root finder instead of the closed form.
-    """
-    for f, d_ap, eps in ((40.0, 20.0, 2.4), (20.0, 20.0, 2.4), (35.0, 12.0, 4.0)):
-        lens = LensSpec(focal_length=f, aperture=d_ap, epsilon_r=eps)
-        n = np.sqrt(eps)
-        # (n^2-1) T^2 + 2(n-1) f T - (D/2)^2 = 0
-        roots = np.roots([n * n - 1.0, 2.0 * (n - 1.0) * f, -(d_ap / 2.0) ** 2])
-        t_ref = float(roots[roots > 0][0])
-        assert lens_thickness(lens) == pytest.approx(t_ref, rel=1e-12)
-
-
-def test_contour_vertex_and_rim(lens):
-    t = lens_thickness(lens)
-    f = lens.focal_length
-    assert hyperbolic_contour(lens, f) == pytest.approx(0.0, abs=1e-9)
-    assert hyperbolic_contour(lens, f + t) == pytest.approx(lens.aperture / 2.0,
-                                                            rel=1e-9)
-
-
-def test_contour_satisfies_equal_path_length(lens):
-    """Fermat oracle: every ray from the focus, refracted to run parallel
-    through the glass, must accumulate the same optical path to the flat
-    back face. This is the property that defines the hyperbolic surface,
-    checked without using the contour formula's own algebra."""
-    n = lens.refractive_index
-    f = lens.focal_length
-    t = lens_thickness(lens)
-    x1 = np.linspace(f, f + t, 7)
-    y1 = hyperbolic_contour(lens, x1)
-    # optical path from the focal point to the plane wavefront through the
-    # vertex: geometric ray to (x1, y1) plus glass from there to x = f + t
-    path = np.sqrt(x1**2 + y1**2) + n * (f + t - x1)
-    assert np.allclose(path, path[0], atol=1e-9)
-
-
-def test_contour_outside_domain_rejected(lens):
-    with pytest.raises(DomainError):
-        hyperbolic_contour(lens, lens.focal_length - 1.0)
-    with pytest.raises(DomainError):
-        hyperbolic_contour(lens, lens.focal_length + lens_thickness(lens) + 1.0)
+# lens and array specs
 
 
 def test_lens_spec_validation():
