@@ -27,7 +27,7 @@ def main() -> None:
     exact = profile_at(args.aod)
     model = fit_sector_model(profile_at, lens, array)
 
-    rows = [("gaussian fit", gaussian_profile(args.aod, model, array, lens))]
+    rows = [("gaussian fit", gaussian_profile(args.aod, model))]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         for stride in [int(t) for t in args.strides.split(",")]:

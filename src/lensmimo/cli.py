@@ -53,7 +53,7 @@ _SCHEMA = {
     "scenario": {"name": str, "precoders": _token_list,
                  "quantizers": _token_list, "lens": _on_off},
     "array": {"num_antennas": int, "spacing": float, "lens_distance": float},
-    "lens": {"focal_length": float, "aperture": float, "epsilon_r": float},
+    "lens": {"focal_length": float, "aperture": float},
     "grid": {"dx": float, "dz": float, "window": float},
     "users": {"angles": _float_list, "sigma": _float_list},
     "simulation": {"bits": int, "snr_db": _float_list, "trials": int,
@@ -166,7 +166,7 @@ def cmd_bpm_field(args: argparse.Namespace) -> int:
         args.out_dir,
         f"field_f{lens.focal_length:g}_aod{args.aod:g}.csv")
     header = [("focal_length", lens.focal_length), ("aperture", lens.aperture),
-              ("epsilon_r", lens.epsilon_r), ("dx", grid.dx), ("dz", grid.dz),
+              ("num_antennas", array.num_antennas), ("dx", grid.dx), ("dz", grid.dz),
               ("window", grid.window), ("aod_deg", args.aod),
               ("rows_transverse", grid.num_samples), ("cols_axial", steps + 1),
               ("peak_distance", z_peak), ("peak_gain_per_cell", gain)]
@@ -228,10 +228,11 @@ def cmd_fit_gaussian(args: argparse.Namespace) -> int:
     model = linklevel.fit_sector_model(
         partial(waveoptics.antenna_power_profile, lens, grid, array), lens, array)
 
-    digest = profile_cache.params_digest(model.params)
-    path = os.path.join(args.out_dir, f"gaussian_fit_{digest}.csv")
+    params = profile_cache.cache_params(lens, grid, array)
+    path = os.path.join(args.out_dir,
+                        f"gaussian_fit_{profile_cache.params_digest(params)}.csv")
     profile_cache.write_table(
-        path, model.params.items(),
+        path, params.items(),
         ["theta_deg", "p", "q", "r", "residual_rms", "poor_fit"],
         zip(model.anchors_deg, model.p, model.q, model.r, model.residual_rms,
             map(str, model.poor_fit.tolist())))

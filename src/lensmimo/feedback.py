@@ -110,7 +110,8 @@ def antenna_coordinates(lens: LensSpec, array: ArraySpec) -> np.ndarray:
 
 @dataclass
 class GaussianProfileModel:
-    """Per-angle Gaussian spot parameters with smooth interpolation across angle.
+    """Per-angle Gaussian spot parameters with smooth interpolation across
+    angle, for the lens and array they were fitted to.
 
     residual_rms holds the per-anchor fit residual (RMS, as a fraction of the
     profile peak); poor_fit flags anchors where that exceeds 20%.
@@ -122,7 +123,8 @@ class GaussianProfileModel:
     r: np.ndarray
     residual_rms: np.ndarray
     poor_fit: np.ndarray
-    params: dict
+    lens: LensSpec
+    array: ArraySpec
     _splines: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,14 +134,6 @@ class GaussianProfileModel:
             self._splines = tuple(
                 PchipInterpolator(self.anchors_deg, vals)
                 for vals in (self.p, self.q, self.r))
-
-    def evaluate_params(self, theta_deg: float) -> tuple[float, float, float]:
-        lo, hi = self.anchors_deg[0], self.anchors_deg[-1]
-        if not lo <= theta_deg <= hi:
-            raise DomainError(
-                f"angle {theta_deg} deg is outside the fitted span [{lo}, {hi}]")
-        sp, sq, sr = self._splines
-        return float(sp(theta_deg)), float(sq(theta_deg)), float(sr(theta_deg))
 
 
 def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
@@ -185,32 +179,21 @@ def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
         bad = ", ".join(f"{ang:g}" for ang in anchors[poor])
         warnings.warn(f"gaussian fit is poor (residual > 20% of peak) at "
                       f"angles [{bad}] deg", stacklevel=2)
-    params = {
-        "f": float(lens.focal_length),
-        "D": float(lens.aperture),
-        "eps_r": float(lens.epsilon_r),
-        "ell": float(array.lens_distance),
-        "M": float(array.num_antennas),
-    }
-    return GaussianProfileModel(anchors_deg=anchors, p=p, q=q, r=r,
-                                residual_rms=resid, poor_fit=poor, params=params)
+    return GaussianProfileModel(anchors_deg=anchors, p=p, q=q, r=r, residual_rms=resid,
+                                poor_fit=poor, lens=lens, array=array)
 
 
-def gaussian_profile(theta_deg: float, model: GaussianProfileModel,
-                     array: ArraySpec, lens: LensSpec) -> np.ndarray:
-    """Evaluate the fitted spot model at one angle and renormalize to sum M."""
-    if model.params["M"] != float(array.num_antennas) or \
-            model.params["ell"] != float(array.lens_distance):
-        raise ConfigError(
-            "gaussian model was fitted for a different array configuration")
-    if model.params["f"] != float(lens.focal_length) or \
-            model.params["D"] != float(lens.aperture):
-        raise ConfigError("gaussian model was fitted for a different lens")
-    pv, qv, rv = model.evaluate_params(theta_deg)
+def gaussian_profile(theta_deg: float, model: GaussianProfileModel) -> np.ndarray:
+    """Evaluate the fitted spot model at one angle within its anchors and
+    renormalize to sum M."""
+    lo, hi = model.anchors_deg[0], model.anchors_deg[-1]
+    if not lo <= theta_deg <= hi:
+        raise DomainError(f"angle {theta_deg} deg is outside the fitted span [{lo}, {hi}]")
+    pv, qv, rv = (float(spline(theta_deg)) for spline in model._splines)
     if pv <= 0 or rv <= 0:
         raise DomainError(f"interpolated spot parameters degenerate at {theta_deg} deg")
-    a = _gauss(antenna_coordinates(lens, array), pv, qv, rv)
+    a = _gauss(antenna_coordinates(model.lens, model.array), pv, qv, rv)
     total = a.sum()
     if total <= 0:
         raise DomainError("gaussian profile evaluated to zero everywhere")
-    return a * (array.num_antennas / total)
+    return a * (model.array.num_antennas / total)

@@ -171,7 +171,6 @@ class ScenarioConfig:
             ("lens_enabled", self.lens_enabled),
             ("focal_length", repr(lens.focal_length)),
             ("aperture", repr(lens.aperture)),
-            ("epsilon_r", repr(lens.epsilon_r)),
             ("lens_distance", repr(array.lens_distance)),
             ("grid_dx", repr(grid.dx)),
             ("grid_dz", repr(grid.dz)),
@@ -293,7 +292,7 @@ def build_scenario_profiles(cfg: ScenarioConfig,
     model = None
     for token in cfg.quantizers:
         kind, source, stride = parse_quantizer(token)
-        if kind != "mvcq" or token in codebook:
+        if kind != "mvcq":
             continue
         if source == "bpm":
             codebook[token] = exact
@@ -302,8 +301,7 @@ def build_scenario_profiles(cfg: ScenarioConfig,
                 model = fit_sector_model(profile_at, lens, array,
                                          [u.angle_deg for u in cfg.users])
             codebook[token] = np.stack([
-                gaussian_profile(u.angle_deg, model, array, lens)
-                for u in cfg.users])
+                gaussian_profile(u.angle_deg, model) for u in cfg.users])
         else:
             codebook[token] = np.stack([propagated(u.angle_deg, stride=stride)
                                         for u in cfg.users])
@@ -314,7 +312,6 @@ def build_scenario_profiles(cfg: ScenarioConfig,
 class SimResult:
     """Mean sum-rate curves (and raw per-trial rates) per precoder/quantizer pair."""
 
-    scenario: ScenarioConfig
     snr_db: np.ndarray
     mean: dict[tuple[str, str], np.ndarray]
     stderr: dict[tuple[str, str], np.ndarray]
@@ -415,5 +412,5 @@ def run_monte_carlo(cfg: ScenarioConfig,
     mean = {c: r.mean(axis=1) for c, r in rates.items()}
     stderr = {c: r.std(axis=1, ddof=1) / np.sqrt(n_tr) if n_tr > 1 else np.zeros(n_snr)
               for c, r in rates.items()}
-    return SimResult(scenario=cfg, snr_db=np.asarray(cfg.snr_db, dtype=float),
-                     mean=mean, stderr=stderr, rates=rates)
+    return SimResult(snr_db=np.asarray(cfg.snr_db, dtype=float), mean=mean,
+                     stderr=stderr, rates=rates)

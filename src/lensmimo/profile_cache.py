@@ -25,18 +25,17 @@ MAX_GAP_DEG = 0.5
 
 
 def cache_params(lens: LensSpec, grid: PropagationGrid, array: ArraySpec) -> dict:
-    """Ordered parameter record identifying one profile table.
+    """Ordered record of every parameter a power profile depends on.
 
-    Everything is stored as float so the record survives a text round trip
-    with an identical hash.
+    It names the profile cache and the Gaussian fit table. Everything is
+    stored as float so the record survives a text round trip with an
+    identical hash.
     """
     return {
         "f": float(lens.focal_length),
         "D": float(lens.aperture),
-        "eps_r": float(lens.epsilon_r),
         "ell": float(array.lens_distance),
         "M": float(array.num_antennas),
-        "d": float(array.spacing),
         "dx": float(grid.dx),
         "dz": float(grid.dz),
         "W": float(grid.window),

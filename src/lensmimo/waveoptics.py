@@ -73,19 +73,15 @@ class PropagationGrid:
 
 @dataclass(frozen=True)
 class LensSpec:
-    """Plano-hyperbolic dielectric lens: focal length, aperture, permittivity."""
+    """Dielectric lens, a thin phase screen: focal length and aperture."""
 
     focal_length: float = 40.0
     aperture: float = 20.0
-    epsilon_r: float = 2.4
 
     def __post_init__(self):
         if not (_positive(self.focal_length) and _positive(self.aperture)):
             raise ConfigError(
                 "lens focal length and aperture must be positive and finite")
-        if not _positive(self.epsilon_r - 1.0):
-            raise ConfigError("relative permittivity must be finite and exceed 1 "
-                              "for a converging contour")
         rim = self.aperture / 2.0   # the phase is formed as in lens_phase_profile
         if not np.isfinite(KAPPA * rim * rim / (2.0 * self.focal_length)):
             raise ConfigError(f"lens phase kappa x^2 / (2 f) at the rim is not finite "

@@ -65,7 +65,7 @@ def test_defaults_fill_a_minimal_file(ini_dir):
     assert cfg.array.spacing == 0.5
     assert cfg.lens_enabled
     lens = cfg.lens
-    assert (lens.focal_length, lens.aperture, lens.epsilon_r) == (40.0, 20.0, 2.4)
+    assert (lens.focal_length, lens.aperture) == (40.0, 20.0)
     assert cfg.array.lens_distance == 25.0
     assert (cfg.grid.dx, cfg.grid.dz, cfg.grid.window) == (0.0625, 1.0, 80.0)
     assert cfg.precoders == ("zf",)
@@ -108,6 +108,10 @@ def test_unknown_names_are_rejected_with_location(tmp_path):
     p.write_text("[users]\nangles = 0\n[array]\nspacingg = 0.5\n")
     with pytest.raises(ConfigError, match=r"unknown key 'spacingg' in \[array\]"):
         parse_config(str(p))
+    # the thin phase screen reads no permittivity, so there is no such key
+    p.write_text("[users]\nangles = 0\n[lens]\nepsilon_r = 2.4\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'epsilon_r' in \[lens\]"):
+        parse_config(str(p))
     p.write_text("[users]\nangles = 0\n[array]\nnum_antennas = sixty\n")
     with pytest.raises(ConfigError, match=r"\[array\] num_antennas"):
         parse_config(str(p))
@@ -115,7 +119,7 @@ def test_unknown_names_are_rejected_with_location(tmp_path):
 
 HEADER_KEYS = ["scenario", "num_antennas", "num_users", "user_angles_deg",
                "sigma_deg", "spacing", "bits", "lens_enabled", "focal_length",
-               "aperture", "epsilon_r", "lens_distance", "grid_dx", "grid_dz",
+               "aperture", "lens_distance", "grid_dx", "grid_dz",
                "window", "precoders", "quantizers", "snr_db", "trials", "seed"]
 
 
@@ -125,7 +129,7 @@ def test_shipped_scenarios_parse_and_keep_the_csv_header(path, tmp_path,
     cfg = parse_config(str(path))
     zeros = np.zeros(len(cfg.snr_db))
     combos = [(p, q) for p in cfg.precoders for q in cfg.quantizers]
-    result = SimResult(scenario=cfg, snr_db=np.asarray(cfg.snr_db), rates={},
+    result = SimResult(snr_db=np.asarray(cfg.snr_db), rates={},
                        mean=dict.fromkeys(combos, zeros),
                        stderr=dict.fromkeys(combos, zeros))
     monkeypatch.setattr(linklevel, "run_monte_carlo", lambda cfg, profiles: result)
@@ -142,8 +146,8 @@ def test_shipped_scenarios_parse_and_keep_the_csv_header(path, tmp_path,
             "num_users = 4", "user_angles_deg = -12.0;-7.0;10.0;0.0",
             "sigma_deg = 5.0;5.0;5.0;5.0", "spacing = 0.5", "bits = 6",
             "lens_enabled = True", "focal_length = 40.0", "aperture = 20.0",
-            "epsilon_r = 2.4", "lens_distance = 25.0", "grid_dx = 0.0625",
-            "grid_dz = 1.0", "window = 80.0", "precoders = zf;mrt",
+            "lens_distance = 25.0", "grid_dx = 0.0625", "grid_dz = 1.0",
+            "window = 80.0", "precoders = zf;mrt",
             "quantizers = mvcq;rvq", "snr_db = 0.0;5.0;10.0;15.0;20.0",
             "trials = 1000", "seed = 77"]
 
@@ -784,6 +788,61 @@ def test_fit_gaussian_writes_parameter_table(ini_dir, tmp_path):
     data = [ln for ln in lines if not ln.startswith(("#", "theta_deg"))]
     assert len(data) == 13                     # -30..30 deg, five-degree anchors
     assert data[0].split(",")[0] == "-30.0"
+
+
+# header lines that report a result, not a setting
+RESULT_KEYS = {"rows_transverse", "cols_axial", "peak_distance", "peak_gain_per_cell"}
+# one changed value per setting, each giving a valid coarse-grid run
+CHANGED = {"focal_length": ("lens", "30"), "aperture": ("lens", "16"),
+           "num_antennas": ("array", "32"), "spacing": ("array", "0.25"),
+           "lens_distance": ("array", "20"), "dx": ("grid", "0.125"),
+           "dz": ("grid", "0.5"), "window": ("grid", "64")}
+
+
+def _output(directory):
+    """(file name, setting lines, rows and result lines, bytes) of the one
+    file written to directory."""
+    [path] = directory.iterdir()
+    raw = path.read_bytes()
+    settings, data = [], []
+    for line in raw.decode().splitlines():
+        key = line[2:].partition(" = ")[0] if line.startswith("# ") else None
+        (settings if key and key not in RESULT_KEYS else data).append(line)
+    return path.name, settings, data, raw
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_output_names_the_settings_it_depends_on(tmp_path):
+    """On a coarse grid, a setting that changes an output's rows or results
+    changes its header's setting lines too, and the cache's and the fit's
+    file names; array spacing, which no power profile reads, leaves the
+    cache's name and bytes as they were."""
+    commands = ("lens-profile", "fit-gaussian", "bpm-field")
+    outputs = {}
+    for case in ("base", *CHANGED):
+        edits = {"grid": {"dx": "0.25", "window": "80"}}
+        if case in CHANGED:
+            section, value = CHANGED[case]
+            edits.setdefault(section, {})[case] = value
+        ini = _small_ini(tmp_path / f"{case}.ini", edits)
+        for command in commands:
+            out = tmp_path / case / command
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, "--config", str(ini), "--out-dir", str(out)]) \
+                    == EXIT_OK
+            outputs[command, case] = _output(out)
+    for case in CHANGED:
+        changed = False
+        for command in commands:
+            name, settings, data, _ = outputs[command, "base"]
+            other = outputs[command, case]
+            if other[2] != data:
+                changed = True
+                assert other[1] != settings, (command, case)
+                if command != "bpm-field":
+                    assert other[0] != name, (command, case)
+        assert changed == (case != "spacing"), case
+    assert outputs["lens-profile", "spacing"] == outputs["lens-profile", "base"]
 
 
 # ---------------------------------------------------------------------------

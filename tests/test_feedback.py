@@ -408,15 +408,11 @@ def test_gaussian_profile_normalized_and_guarded(lens, grid, array, profile_set)
                     else antenna_power_profile(lens, grid, array, a))
                 for a in angles}
     model = fit_gaussian_model(profiles, lens, array)
-    a7 = gaussian_profile(7.0, model, array, lens)
+    a7 = gaussian_profile(7.0, model)
     assert a7.sum() == pytest.approx(array.num_antennas, abs=1e-9)
     assert np.all(a7 >= 0.0)
     with pytest.raises(DomainError):
-        gaussian_profile(25.0, model, array, lens)      # outside the fit span
-    with pytest.raises(ConfigError):
-        gaussian_profile(7.0, model, ArraySpec(lens_distance=30.0), lens)
-    with pytest.raises(ConfigError):
-        gaussian_profile(7.0, model, array, LensSpec(focal_length=30.0))
+        gaussian_profile(25.0, model)      # outside the fit span
 
 
 # ---------------------------------------------------------------------------

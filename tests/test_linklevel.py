@@ -562,7 +562,7 @@ def test_gaussian_profiles_need_only_the_stencil_anchors(focal, grid, array):
             warnings.simplefilter("ignore")
             got = build_scenario_profiles(cfg, profile_at).codebook["mvcq:gaussian"]
         for a, row in zip(angles, got):
-            assert np.array_equal(row, gaussian_profile(a, full, array, lens)), (a, angles)
+            assert np.array_equal(row, gaussian_profile(a, full)), (a, angles)
 
 
 def test_sector_model_fits_at_least_five_anchors_around_the_angles(lens, array):

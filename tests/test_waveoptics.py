@@ -20,13 +20,9 @@ from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec,
 def test_lens_spec_validation():
     with pytest.raises(ConfigError):
         LensSpec(focal_length=-1.0)
-    with pytest.raises(ConfigError):
-        LensSpec(epsilon_r=0.9)
     for bad in (np.nan, np.inf):
         with pytest.raises(ConfigError, match="finite"):
             LensSpec(focal_length=bad)
-        with pytest.raises(ConfigError, match="finite"):
-            LensSpec(epsilon_r=bad)
         with pytest.raises(ConfigError, match="finite"):
             ArraySpec(spacing=bad)
         with pytest.raises(ConfigError, match="finite"):
