@@ -5,7 +5,8 @@ y_k = sqrt(P) h_k^T sum_j g_j s_j + n_k with unit-variance noise, so the
 transmit power in dB doubles as the SNR axis. Precoders are built only from
 the directions users feed back, chosen by feedback's codebook functions. The
 precoders, SINR and sum rate take stacks, so the Monte Carlo precodes a block
-of cells at once. No file I/O: the CLI writes through profile_cache.write_table.
+of trials at once and evaluates every SNR point on it. No file I/O: the CLI
+writes through profile_cache.write_table.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class ScenarioConfig:
                  f"{len(self.quantizers)} quantizers)",
                  cells * len(self.precoders) * len(self.quantizers)),
                 (f"the correlation factors ({k} x {2 * m} x {2 * m} reals)", 4 * k * m * m),
-                (f"the per-cell codebook draw ({k} x {2 * m} x {2 ** self.bits} reals)",
+                (f"the per-trial codebook draw ({k} x {2 * m} x {2 ** self.bits} reals)",
                  k * 2 * m * 2 ** self.bits)):
             if size > MAX_BUFFER_VALUES:
                 raise ConfigError(f"{what} would take {size} values, over the limit "
@@ -321,16 +322,17 @@ class SimResult:
 def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, blocks: np.ndarray,
                lens_roots: np.ndarray | None, roots: dict[str, np.ndarray],
                kinds: list[tuple[str, str]], h_true: np.ndarray, h_hat: np.ndarray,
-               si: int, ti: int) -> None:
-    """Draw one Monte-Carlo cell into h_true (K, M) and h_hat (quantizers, K, M).
+               ti: int) -> None:
+    """Draw trial ti into h_true (K, M) and h_hat (quantizers, K, M).
 
-    The substream is keyed by (snr index, trial index) so results do not
-    depend on execution order; the K channels are drawn before the K
-    codebooks so every quantizer sees the same realizations. S W
-    (correlate_codewords) is formed once and shared by rvq_corr and every
-    mvcq token, which weights it by its own sqrt(a) at selection.
+    The substream is keyed by the trial index alone, and every SNR point is
+    evaluated on the same draws, so a trial's rates depend on the seed and
+    its index only; the K channels are drawn before the K codebooks so every
+    quantizer sees the same realizations. S W (correlate_codewords) is
+    formed once and shared by rvq_corr and every mvcq token, which weights
+    it by its own sqrt(a) at selection.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ti,)))
     h = draw_channel(factors, rng)
     h_true[:] = h = h if lens_roots is None else lens_roots * h
     bases = random_codebook(cfg.array.num_antennas, cfg.bits, rng, cfg.num_users)
@@ -347,17 +349,18 @@ def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, blocks: np.ndarray,
 
 def _precode_block(cfg: ScenarioConfig, h_true: np.ndarray, h_hat: np.ndarray,
                    first: int) -> np.ndarray:
-    """Sum rates (cells, quantizers, precoders) of the cells from flat index first
-    on: one precoder, SINR and sum-rate call per precoder, with no numpy warning.
-    A failure names its first cell in (snr, trial, quantizer, precoder) order."""
-    def context(c: int, q: int) -> str:
-        si, ti = divmod(first + c, cfg.trials)
-        return f"(quantizer {cfg.quantizers[q]}, snr {cfg.snr_db[si]} dB, trial {ti})"
+    """Sum rates (snr, trials, quantizers, precoders) of the trials from index
+    first on: one precoder, SINR and sum-rate call per precoder, the SINR
+    broadcast over the SNR grid, with no numpy warning. A precoder failure does
+    not depend on the SNR and names the first SNR point; a non-finite rate names
+    the block's first such cell in (snr, trial, quantizer, precoder) order."""
+    def context(si: int, c: int, q: int) -> str:
+        return (f"(quantizer {cfg.quantizers[q]}, snr {cfg.snr_db[si]} dB, "
+                f"trial {first + c})")
 
-    p_t = np.array([10.0 ** (cfg.snr_db[(first + c) // cfg.trials] / 10.0)
-                    for c in range(len(h_hat))])[:, None, None]
+    p_t = np.array([10.0 ** (s / 10.0) for s in cfg.snr_db])[:, None, None, None]
     precoders = [zf_precoder if p == "zf" else mrt_precoder for p in cfg.precoders]
-    rates = np.empty((*h_hat.shape[:2], len(precoders)))
+    rates = np.empty((len(p_t), *h_hat.shape[:2], len(precoders)))
     for i, precoder in enumerate(precoders):
         try:
             g = precoder(h_hat).normalized
@@ -366,14 +369,14 @@ def _precode_block(cfg: ScenarioConfig, h_true: np.ndarray, h_hat: np.ndarray,
                 try:
                     precoders[p](h_hat[c, q])
                 except LensMimoError as exc:
-                    raise type(exc)(f"{exc} {context(c, q)}") from exc
+                    raise type(exc)(f"{exc} {context(0, c, q)}") from exc
             raise
         with np.errstate(over="ignore", invalid="ignore"):
             rates[..., i] = sum_rate(received_sinr(h_true[:, None], g, p_t))
     if not np.isfinite(rates).all():
-        c, q, i = np.argwhere(~np.isfinite(rates))[0]
+        si, c, q, i = np.argwhere(~np.isfinite(rates))[0]
         raise DomainError(f"precoder {cfg.precoders[i]} gave a non-finite sum rate "
-                          f"{context(c, q)}")
+                          f"{context(si, c, q)}")
     return rates
 
 
@@ -381,9 +384,11 @@ def run_monte_carlo(cfg: ScenarioConfig,
                     profiles: ScenarioProfiles | None = None) -> SimResult:
     """Ergodic sum rate over the SNR grid for every precoder/quantizer pair.
 
-    Deterministic for a given config seed: each (snr, trial) cell draws from
-    its own derived substream, so a cell's rates depend on the seed and its
-    indices only, not on the trial count or the order cells run in.
+    Deterministic for a given config seed, with common random numbers across
+    SNR: each trial draws, quantizes and precodes once from its own derived
+    substream, and every SNR point is evaluated on it. A trial's rates depend
+    on the seed and its index only, so an SNR point's results do not depend on
+    the rest of the grid, the trial count or the order trials run in.
     """
     if profiles is None:
         profiles = build_scenario_profiles(cfg)
@@ -397,17 +402,18 @@ def run_monte_carlo(cfg: ScenarioConfig,
     roots = {t: apply_lens(ones, a) for t, a in profiles.codebook.items()}
     kinds = [(t, parse_quantizer(t)[0]) for t in cfg.quantizers]
     n_snr, n_tr = len(cfg.snr_db), cfg.trials
-    n_cells, per_block = n_snr * n_tr, max(1, BLOCK_MATRICES // len(kinds))
+    per_block = max(1, BLOCK_MATRICES // len(kinds))
     h_true = np.empty((per_block, k, m), dtype=complex)
     h_hat = np.empty((per_block, len(kinds), k, m), dtype=complex)
-    out = np.empty((len(cfg.precoders), len(kinds), n_cells))
-    for first in range(0, n_cells, per_block):
-        n = min(per_block, n_cells - first)
+    out = np.empty((len(cfg.precoders), len(kinds), n_snr, n_tr))
+    for first in range(0, n_tr, per_block):
+        n = min(per_block, n_tr - first)
         for c in range(n):
             _fill_cell(cfg, factors, blocks, lens_roots, roots, kinds, h_true[c],
-                       h_hat[c], *divmod(first + c, n_tr))
-        out[:, :, first:first + n] = _precode_block(cfg, h_true[:n], h_hat[:n], first).T
-    rates = {(p, t): out[i, q].reshape(n_snr, n_tr)
+                       h_hat[c], first + c)
+        out[..., first:first + n] = _precode_block(
+            cfg, h_true[:n], h_hat[:n], first).transpose(3, 2, 0, 1)
+    rates = {(p, t): out[i, q]
              for i, p in enumerate(cfg.precoders) for q, t in enumerate(cfg.quantizers)}
     mean = {c: r.mean(axis=1) for c, r in rates.items()}
     stderr = {c: r.std(axis=1, ddof=1) / np.sqrt(n_tr) if n_tr > 1 else np.zeros(n_snr)

@@ -318,7 +318,7 @@ def test_allocation_size_inputs_exit_config(tmp_path, capsys, command, section,
 ], ids=["trials", "antennas", "codebook_bits"])
 def test_oversized_scenarios_exit_config(tmp_path, capsys, monkeypatch, scenario,
                                          old, new):
-    """A rate array, correlation factor or per-cell codebook draw over the
+    """A rate array, correlation factor or per-trial codebook draw over the
     buffer limit is a configuration error, raised before the kernel
     allocates anything (these would need 1.6 TB, 13 PB and 268 MB)."""
     def no_cell(*args):
@@ -648,7 +648,7 @@ def _sizes(draw):
         trials = draw(st.integers(LIMIT // (4 * n_snr) + 1, 10 ** 12))
     elif over == "antennas":     # K correlation factors of 2M x 2M reals
         m = draw(st.integers(2049, 10 ** 9))
-    elif over == "bits":         # one cell's K x 2M x 2^B codebook draw
+    elif over == "bits":         # one trial's K x 2M x 2^B codebook draw
         bits = draw(st.integers(13, 40))
         if bits <= 16:
             m = draw(st.integers(LIMIT // (2 * k * 2 ** bits) + 1, 2048))
@@ -758,7 +758,10 @@ def test_bpm_field_dump_matches_header(ini_dir, tmp_path):
         rc = main(["bpm-field", "--config", str(ini_dir / "small.ini"),
                    "--out-dir", str(tmp_path), "--steps", "10"])
     assert rc == EXIT_OK
-    path = tmp_path / "field_f40_aod0.csv"
+    cfg = parse_config(str(ini_dir / "small.ini"))
+    digest = profile_cache.params_digest(
+        profile_cache.cache_params(cfg.lens, cfg.grid, cfg.array))
+    path = tmp_path / f"field_{digest}_aod0.csv"
     lines = path.read_text().strip().split("\n")
     header = {}
     for ln in lines:
@@ -814,8 +817,7 @@ def _output(directory):
 @pytest.mark.filterwarnings("error")
 def test_every_output_names_the_settings_it_depends_on(tmp_path):
     """On a coarse grid, a setting that changes an output's rows or results
-    changes its header's setting lines too, and the cache's and the fit's
-    file names; array spacing, which no power profile reads, leaves the
+    changes its header's setting lines and its file name too; array spacing, which no power profile reads, leaves the
     cache's name and bytes as they were."""
     commands = ("lens-profile", "fit-gaussian", "bpm-field")
     outputs = {}
@@ -839,8 +841,7 @@ def test_every_output_names_the_settings_it_depends_on(tmp_path):
             if other[2] != data:
                 changed = True
                 assert other[1] != settings, (command, case)
-                if command != "bpm-field":
-                    assert other[0] != name, (command, case)
+                assert other[0] != name, (command, case)
         assert changed == (case != "spacing"), case
     assert outputs["lens-profile", "spacing"] == outputs["lens-profile", "base"]
 

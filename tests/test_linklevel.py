@@ -273,7 +273,7 @@ def _cells_per_block(cfg):
 
 
 def test_monte_carlo_trial_prefix_is_stable():
-    """Each cell's substream is keyed by its (snr, trial) indices, so more
+    """Each trial's substream is keyed by its trial index, so more
     trials leave the earlier ones bit for bit unchanged, also when the
     longer run precodes its cells in more blocks."""
     short = run_monte_carlo(_small_cfg(trials=5))
@@ -283,15 +283,16 @@ def test_monte_carlo_trial_prefix_is_stable():
             assert np.array_equal(long.rates[combo][:, :5], short.rates[combo])
 
 
-def _cell_rng(cfg, si, ti):
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(si, ti)))
+def _cell_rng(cfg, ti):
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ti,)))
 
 
-def _reference_cell_rates(cfg, profiles, factors, si, ti):
-    """One Monte-Carlo cell built user by user from the public functions:
-    one channel draw, codebook, correlation and selection per user."""
+def _reference_cell_rates(cfg, profiles, factors, ti):
+    """One Monte-Carlo trial built user by user from the public functions:
+    one channel draw, codebook, correlation and selection per user, then
+    one precoding and one SINR per SNR point. Returns rates over the grid."""
     k, m = cfg.num_users, cfg.array.num_antennas
-    rng = _cell_rng(cfg, si, ti)
+    rng = _cell_rng(cfg, ti)
     h = np.stack([draw_channel(s, rng) for s in factors])
     if profiles.channel is not None:
         h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
@@ -299,7 +300,6 @@ def _reference_cell_rates(cfg, profiles, factors, si, ti):
         h_true = h
     bases = [random_codebook(m, cfg.bits, rng) for _ in range(k)]
 
-    p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
     out = {}
     for token in cfg.quantizers:
         kind, _, _ = parse_quantizer(token)
@@ -317,8 +317,9 @@ def _reference_cell_rates(cfg, profiles, factors, si, ti):
             h_hat = np.stack(rows)
         for prec in cfg.precoders:
             p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
-            sinrs = received_sinr(h_true, p.normalized, p_t)
-            out[(prec, token)] = sum_rate(sinrs)
+            out[(prec, token)] = np.array([
+                sum_rate(received_sinr(h_true, p.normalized, 10.0 ** (snr / 10.0)))
+                for snr in cfg.snr_db])
     return out
 
 
@@ -326,12 +327,13 @@ def _unit_columns(w):
     return w / np.linalg.norm(w, axis=0)
 
 
-def _normalized_chain_cell(cfg, profiles, factors, si, ti):
-    """One cell the way every codebook used to be built: each construction
+def _normalized_chain_cell(cfg, profiles, factors, ti):
+    """One trial the way every codebook used to be built: each construction
     step renormalizes all columns, and a user picks argmax |h^H w_j| among
-    unit columns. Returns {token: (h_hat, picks, books)} and the rates."""
+    unit columns. Returns {token: (h_hat, picks, books)} and the rates over
+    the SNR grid."""
     k, m, n = cfg.num_users, cfg.array.num_antennas, 2 ** cfg.bits
-    rng = _cell_rng(cfg, si, ti)
+    rng = _cell_rng(cfg, ti)
     h = np.stack([draw_channel(s, rng) for s in factors])
     if profiles.channel is not None:
         h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
@@ -339,7 +341,6 @@ def _normalized_chain_cell(cfg, profiles, factors, si, ti):
         h_true = h
     bases = [_unit_columns(_draw(rng, (m, n))) for _ in range(k)]
 
-    p_t = 10.0 ** (cfg.snr_db[si] / 10.0)
     chosen, rates = {}, {}
     for token in cfg.quantizers:
         kind, _, _ = parse_quantizer(token)
@@ -362,7 +363,9 @@ def _normalized_chain_cell(cfg, profiles, factors, si, ti):
             chosen[token] = (h_hat, picks, books)
         for prec in cfg.precoders:
             p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
-            rates[(prec, token)] = sum_rate(received_sinr(h_true, p.normalized, p_t))
+            rates[(prec, token)] = [
+                sum_rate(received_sinr(h_true, p.normalized, 10.0 ** (snr / 10.0)))
+                for snr in cfg.snr_db]
     return chosen, rates
 
 
@@ -389,11 +392,9 @@ def test_monte_carlo_matches_reference_cells(lens_enabled):
         cfg = _kernel_cfg(lens_enabled, bits=3, trials=trials)
         res = run_monte_carlo(cfg, profiles)
         ref = {c: np.empty_like(r) for c, r in res.rates.items()}
-        for si in range(len(cfg.snr_db)):
-            for ti in range(cfg.trials):
-                for c, rate in _reference_cell_rates(cfg, profiles, factors,
-                                                     si, ti).items():
-                    ref[c][si, ti] = rate
+        for ti in range(cfg.trials):
+            for c, rates in _reference_cell_rates(cfg, profiles, factors, ti).items():
+                ref[c][:, ti] = rates
         assert set(ref) == {(p, q) for p in ("zf", "mrt") for q in cfg.quantizers}
         for c in ref:
             assert np.array_equal(res.rates[c], ref[c]), (trials, c)
@@ -411,7 +412,7 @@ def test_monte_carlo_matches_the_normalized_chain(monkeypatch, lens_enabled):
     for prec in fed_back:
         name = f"{prec}_precoder"
         def record(h_hat, _precoder=getattr(linklevel, name), _log=fed_back[prec]):
-            # the kernel precodes a block of cells at once: log each matrix
+            # the kernel precodes a block of trials at once: log each matrix
             _log.extend(h_hat.reshape(-1, *h_hat.shape[-2:]).copy())
             return _precoder(h_hat)
         monkeypatch.setattr(linklevel, name, record)
@@ -421,27 +422,50 @@ def test_monte_carlo_matches_the_normalized_chain(monkeypatch, lens_enabled):
     factors = _factors(cfg)
     calls = {prec: iter(log) for prec, log in fed_back.items()}
     picks = 0
-    for si in range(len(cfg.snr_db)):
-        for ti in range(cfg.trials):
-            chosen, rates = _normalized_chain_cell(cfg, profiles, factors, si, ti)
-            for token in cfg.quantizers:
-                ref_hat, ref_picks, books = chosen[token]
-                for prec in cfg.precoders:
-                    h_hat = next(calls[prec])
-                    rate = res.rates[(prec, token)][si, ti]
-                    if ref_picks is None:
-                        assert np.array_equal(h_hat, ref_hat)
-                        assert rate == rates[(prec, token)]
-                        continue
-                    got = [int(np.argmax(np.abs(b.conj().T @ row)))
-                           for b, row in zip(books, h_hat)]
-                    assert got == ref_picks, (token, si, ti)
-                    assert np.allclose(h_hat, ref_hat, rtol=0.0, atol=1e-12)
-                    assert rate == pytest.approx(rates[(prec, token)], rel=1e-12)
-                    picks += len(got)
+    for ti in range(cfg.trials):
+        chosen, rates = _normalized_chain_cell(cfg, profiles, factors, ti)
+        for token in cfg.quantizers:
+            ref_hat, ref_picks, books = chosen[token]
+            for prec in cfg.precoders:
+                h_hat = next(calls[prec])
+                rate = res.rates[(prec, token)][:, ti]
+                if ref_picks is None:
+                    assert np.array_equal(h_hat, ref_hat)
+                    assert np.array_equal(rate, rates[(prec, token)])
+                    continue
+                got = [int(np.argmax(np.abs(b.conj().T @ row)))
+                       for b, row in zip(books, h_hat)]
+                assert got == ref_picks, (token, ti)
+                assert np.allclose(h_hat, ref_hat, rtol=0.0, atol=1e-12)
+                assert rate == pytest.approx(rates[(prec, token)], rel=1e-12)
+                picks += len(got)
     assert all(next(log, None) is None for log in calls.values())
     assert picks == (len(cfg.quantizers) - 1) * len(cfg.precoders) * \
-        cfg.num_users * len(cfg.snr_db) * cfg.trials
+        cfg.num_users * cfg.trials
+
+
+def test_snr_points_do_not_depend_on_the_rest_of_the_grid(monkeypatch):
+    """Every SNR point is evaluated on the same trials, so a two-point run
+    gives each point's rates, mean and stderr bit for bit as a run at that
+    point alone, and ZF runs once per block of trials, not per SNR point."""
+    cfg = _kernel_cfg(True, bits=3, trials=4)
+    profiles = build_scenario_profiles(cfg)
+    cfg = _kernel_cfg(True, bits=3, trials=_cells_per_block(cfg) + 3)
+    zf_calls = []
+
+    def counted(h_hat, _zf=linklevel.zf_precoder):
+        zf_calls.append(h_hat.shape[0])
+        return _zf(h_hat)
+    monkeypatch.setattr(linklevel, "zf_precoder", counted)
+    grid = run_monte_carlo(cfg, profiles)
+    assert zf_calls == [_cells_per_block(cfg), 3]
+    for si, snr in enumerate(cfg.snr_db):
+        alone = run_monte_carlo(
+            _kernel_cfg(True, bits=3, trials=cfg.trials, snr_db=(snr,)), profiles)
+        for c in grid.rates:
+            assert np.array_equal(grid.rates[c][si], alone.rates[c][0]), (snr, c)
+            assert np.array_equal(grid.mean[c][si:si + 1], alone.mean[c]), (snr, c)
+            assert np.array_equal(grid.stderr[c][si:si + 1], alone.stderr[c]), (snr, c)
 
 
 def test_monte_carlo_seed_changes_results():
@@ -496,6 +520,26 @@ def test_zf_failure_in_a_later_block_names_its_trial(monkeypatch):
     monkeypatch.setattr(linklevel, "select_codeword", fail_from_bad)
     with pytest.raises(DomainError, match=r"users 0 and 1 have near-collinear "
                        rf"directions \(quantizer rvq, snr 10.0 dB, trial {bad}\)$"):
+        run_monte_carlo(cfg)
+
+
+def test_zf_failure_names_the_first_snr_point(monkeypatch):
+    """A precoder failure does not depend on the SNR: collinear fed-back rows
+    at one trial of the second block of a two-point run name the first SNR
+    point and that trial."""
+    cfg = _small_cfg(precoders=("mrt", "zf"), quantizers=("rvq",))
+    bad = _cells_per_block(cfg) + 2
+    cfg = _small_cfg(precoders=("mrt", "zf"), quantizers=("rvq",), trials=bad + 4)
+    calls = iter(range(cfg.trials))
+
+    def collinear_at_bad(h, w, root_a=None):
+        rows = select_codeword(h, w, root_a)
+        if next(calls) == bad:
+            rows[1] = rows[0]
+        return rows
+    monkeypatch.setattr(linklevel, "select_codeword", collinear_at_bad)
+    with pytest.raises(DomainError, match=r"near-collinear directions "
+                       rf"\(quantizer rvq, snr 0.0 dB, trial {bad}\)$"):
         run_monte_carlo(cfg)
 
 
