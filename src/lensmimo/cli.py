@@ -162,8 +162,10 @@ def cmd_bpm_field(args: argparse.Namespace) -> int:
     z_peak, gain = waveoptics.find_focal_peak(hist, lens, array)
 
     inten = np.abs(hist.fields) ** 2 / np.abs(hist.fields[0]).max() ** 2
-    digest = profile_cache.params_digest(profile_cache.cache_params(lens, grid, array))
-    path = os.path.join(args.out_dir, f"field_{digest}_aod{args.aod:g}.csv")
+    params = profile_cache.cache_params(lens, grid, array)
+    del params["ell"]          # the history runs to 1.5 f whatever the array distance
+    path = os.path.join(args.out_dir, f"field_{profile_cache.params_digest(params)}"
+                                      f"_aod{args.aod:g}_steps{steps}.csv")
     header = [("focal_length", lens.focal_length), ("aperture", lens.aperture),
               ("num_antennas", array.num_antennas), ("dx", grid.dx), ("dz", grid.dz),
               ("window", grid.window), ("aod_deg", args.aod),

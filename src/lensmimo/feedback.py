@@ -5,18 +5,18 @@ Codebook stacks are (users, 2m, 2^bits) real [Re; Im] blocks of random draws
 profile (MVCQ); each user feeds back the codeword with the largest |h^H w| /
 |w|, the only one ever normalized. Also the cheap profile estimator: a
 Gaussian model of the focused spot, fitted to propagated profiles and
-interpolated across angle; it alone needs SciPy, which it imports on first
-use so that nothing else pays for loading it.
+interpolated across angle.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .numerics import pchip, trf_bounds
 from .waveoptics import ArraySpec, LensSpec
 
 
@@ -125,15 +125,6 @@ class GaussianProfileModel:
     poor_fit: np.ndarray
     lens: LensSpec
     array: ArraySpec
-    _splines: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._splines is None:
-            # imported here so that code without a spot model never loads SciPy
-            from scipy.interpolate import PchipInterpolator
-            self._splines = tuple(
-                PchipInterpolator(self.anchors_deg, vals)
-                for vals in (self.p, self.q, self.r))
 
 
 def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
@@ -145,8 +136,6 @@ def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
     20% of the profile peak are flagged (the spot is no longer unimodal
     enough for the model to be trusted there).
     """
-    # imported here so that code without a spot model never loads SciPy
-    from scipy.optimize import curve_fit
     if len(profiles) < 5:
         raise ConfigError("gaussian fit needs at least five anchor angles")
     y = antenna_coordinates(lens, array)
@@ -160,18 +149,19 @@ def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
         if a.shape[0] != array.num_antennas:
             raise ConfigError("profile length and antenna count differ")
         peak = a.max()
+        if not peak > 0:
+            raise DomainError(f"profile at {ang} deg carries no power")
         cell = lens.aperture / array.num_antennas
         p0 = (peak, y[int(np.argmax(a))], lens.aperture / 10.0)
         # bounded so clipped spots at the sector edge stay solvable instead
         # of sending the center or width to infinity
-        lo = (peak * 1e-3, y[0] - 2.0 * lens.aperture, 0.1 * cell)
-        hi = (peak * 1e3, y[-1] + 2.0 * lens.aperture, 4.0 * lens.aperture)
+        lo = np.array((peak * 1e-3, y[0] - 2.0 * lens.aperture, 0.1 * cell))
+        hi = np.array((peak * 1e3, y[-1] + 2.0 * lens.aperture, 4.0 * lens.aperture))
         try:
-            popt, _ = curve_fit(_gauss, y, a, p0=p0, bounds=(lo, hi),
-                                jac=_gauss_jac, maxfev=20000)
-        except RuntimeError as exc:
+            popt, _ = trf_bounds(lambda x: _gauss(y, *x) - a, lambda x: _gauss_jac(y, *x),
+                                 p0, lo, hi)
+        except np.linalg.LinAlgError as exc:
             raise DomainError(f"gaussian fit failed at {ang} deg: {exc}") from exc
-        popt[0], popt[2] = abs(popt[0]), abs(popt[2])
         p[i], q[i], r[i] = popt
         resid[i] = np.sqrt(np.mean((_gauss(y, *popt) - a) ** 2)) / peak
     poor = resid > 0.2
@@ -189,7 +179,8 @@ def gaussian_profile(theta_deg: float, model: GaussianProfileModel) -> np.ndarra
     lo, hi = model.anchors_deg[0], model.anchors_deg[-1]
     if not lo <= theta_deg <= hi:
         raise DomainError(f"angle {theta_deg} deg is outside the fitted span [{lo}, {hi}]")
-    pv, qv, rv = (float(spline(theta_deg)) for spline in model._splines)
+    pv, qv, rv = (pchip(model.anchors_deg, vals, theta_deg)
+                  for vals in (model.p, model.q, model.r))
     if pv <= 0 or rv <= 0:
         raise DomainError(f"interpolated spot parameters degenerate at {theta_deg} deg")
     a = _gauss(antenna_coordinates(model.lens, model.array), pv, qv, rv)

@@ -759,9 +759,9 @@ def test_bpm_field_dump_matches_header(ini_dir, tmp_path):
                    "--out-dir", str(tmp_path), "--steps", "10"])
     assert rc == EXIT_OK
     cfg = parse_config(str(ini_dir / "small.ini"))
-    digest = profile_cache.params_digest(
-        profile_cache.cache_params(cfg.lens, cfg.grid, cfg.array))
-    path = tmp_path / f"field_{digest}_aod0.csv"
+    params = profile_cache.cache_params(cfg.lens, cfg.grid, cfg.array)
+    del params["ell"]
+    path = tmp_path / f"field_{profile_cache.params_digest(params)}_aod0_steps10.csv"
     lines = path.read_text().strip().split("\n")
     header = {}
     for ln in lines:
@@ -777,6 +777,27 @@ def test_bpm_field_dump_matches_header(ini_dir, tmp_path):
     # head-on illumination: the dump is mirror-symmetric across the axis
     mirrored = np.roll(data[::-1, :], 1, axis=0)
     assert np.allclose(data, mirrored, atol=1e-6 * data.max())
+
+
+@pytest.mark.filterwarnings("ignore:intensity peak lies on the final plane")
+def test_bpm_field_names_its_dump_by_steps_not_lens_distance(tmp_path):
+    """Histories of 10 and 20 steps land in two files; the array distance,
+    which no history reads, leaves the file's name and bytes as they were."""
+    grid = {"dx": "0.25", "window": "80"}
+    written = {}
+    for case, ell, steps in (("base", "10", "10"), ("longer", "10", "20"),
+                             ("farther", "20", "10")):
+        ini = _small_ini(tmp_path / f"{case}.ini",
+                         {"grid": grid, "array": {"lens_distance": ell}})
+        out = tmp_path / case
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["bpm-field", "--config", str(ini), "--out-dir", str(out),
+                         "--steps", steps]) == EXIT_OK
+        [path] = out.glob("field_*.csv")
+        written[case] = path.name, path.read_bytes()
+    assert written["base"][0].endswith("_steps10.csv")
+    assert written["longer"][0].endswith("_steps20.csv")
+    assert written["farther"] == written["base"]
 
 
 def test_fit_gaussian_writes_parameter_table(ini_dir, tmp_path):
@@ -851,28 +872,30 @@ def test_every_output_names_the_settings_it_depends_on(tmp_path):
 
 COLD_START = """\
 import json, sys
+sys.modules["scipy"] = None          # any import of scipy or its submodules now fails
 from lensmimo.cli import main
-ini, out = sys.argv[1:]
-codes = [main([*argv, "--config", ini]) for argv in (
-    ["lens-profile", "--cache-dir", out],
-    ["bpm-field", "--out-dir", out],
-    ["simulate", "--out-dir", out, "--cache-dir", out, "--no-build"])]
-scipy = sorted({"scipy.optimize", "scipy.interpolate", "scipy.special"} & set(sys.modules))
-fit = main(["fit-gaussian", "--config", ini, "--out-dir", out])
-print(json.dumps({"codes": codes, "scipy": scipy, "fit": fit}))
+ini, gaussian, out = sys.argv[1:]
+print(json.dumps([main([*argv, "--out-dir", out]) for argv in (
+    ["lens-profile", "--config", ini, "--cache-dir", out],
+    ["bpm-field", "--config", ini],
+    ["simulate", "--config", ini, "--cache-dir", out, "--no-build"],
+    ["fit-gaussian", "--config", ini],
+    ["simulate", "--config", gaussian])]))
 """
 
 
-def test_commands_without_a_spot_model_never_load_scipy(ini_dir, tmp_path):
-    """A fresh process runs lens-profile, bpm-field and simulate (mvcq, rvq)
-    without importing SciPy's optimizer, interpolators or special
-    functions; fit-gaussian still loads them and succeeds."""
+def test_no_command_loads_scipy(ini_dir, tmp_path):
+    """A fresh process in which SciPy cannot be imported runs every command:
+    lens-profile, bpm-field, simulate from the cache, fit-gaussian, and a
+    simulate whose profiles come from the fitted spot model."""
+    gaussian = _small_ini(tmp_path / "gaussian.ini",
+                          {"scenario": {"quantizers": "mvcq:gaussian"}})
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(ini_dir / "small.ini"), str(tmp_path)],
+        [sys.executable, "-c", COLD_START, str(ini_dir / "small.ini"), str(gaussian),
+         str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [EXIT_OK] * 3, "scipy": [], "fit": EXIT_OK}
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * 5

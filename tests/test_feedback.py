@@ -1,5 +1,6 @@
 """Codebook constructions, quantization oracles, profile estimators."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -400,6 +401,88 @@ def test_fit_flags_poor_profiles(lens, array):
     with pytest.warns(UserWarning, match="poor"):
         model = fit_gaussian_model(good, lens, array)
     assert model.poor_fit[list(model.anchors_deg).index(0.0)]
+
+
+@pytest.mark.parametrize("focal", [20.0, 30.0, 40.0, 50.0])
+def test_spot_fit_matches_scipy_curve_fit(grid, array, focal, monkeypatch):
+    """The NumPy trust-region-reflective port against SciPy's curve_fit on
+    the same problem at all 13 anchors: equal evaluation counts and p, q, r
+    within 1e-10 relative at |theta| <= 20 deg; at the ill-determined
+    +-25/+-30 deg fits, which crawl toward the p <= 1e3 peak bound, p, q, r
+    within 1e-5 relative (roundoff of the SVD differs between LAPACK builds)."""
+    from scipy.optimize import curve_fit
+
+    from lensmimo import feedback
+    port, calls = feedback.trf_bounds, []
+
+    def spy(fun, jac, x0, lb, ub):
+        out = port(fun, jac, x0, lb, ub)
+        calls.append((x0, lb, ub, out))
+        return out
+
+    monkeypatch.setattr(feedback, "trf_bounds", spy)
+    lens = LensSpec(focal_length=focal)
+    profiles = {a: antenna_power_profile(lens, grid, array, a)
+                for a in np.arange(-30.0, 31.0, 5.0)}
+    model = fit_gaussian_model(profiles, lens, array)
+    y = feedback.antenna_coordinates(lens, array)
+    assert len(calls) == 13
+    for i, (ang, (x0, lb, ub, (x, nfev))) in enumerate(zip(model.anchors_deg, calls)):
+        popt, _, info, _, ier = curve_fit(
+            _gauss, y, profiles[ang], p0=x0, bounds=(lb, ub),
+            jac=feedback._gauss_jac, maxfev=20000, full_output=True)
+        assert ier > 0
+        assert np.array_equal(x, (model.p[i], model.q[i], model.r[i]))
+        if abs(ang) <= 20.0:
+            assert nfev == info["nfev"], ang
+            np.testing.assert_allclose(x, popt, rtol=1e-10, atol=0, err_msg=str(ang))
+        else:
+            np.testing.assert_allclose(x, popt, rtol=1e-5, atol=0, err_msg=str(ang))
+
+
+def _pchip_cases():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        n = int(rng.integers(3, 15))
+        x = np.sort(rng.choice(np.linspace(-30.0, 30.0, 61), n, replace=False))
+        yield "random", x, rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        yield "monotone", x, np.cumsum(rng.exponential(size=n)) - rng.uniform(0, 5)
+        flat = rng.normal(size=n)
+        flat[1:n // 2 + 2] = flat[1]                   # a run of equal values
+        yield "flat", x, flat
+
+
+def test_pchip_matches_scipy():
+    """The NumPy PCHIP against SciPy's PchipInterpolator within 1e-15
+    relative, on the anchors, between them and on both end points."""
+    from scipy.interpolate import PchipInterpolator
+
+    from lensmimo.numerics import pchip
+    rng = np.random.default_rng(16)
+    for kind, x, y in _pchip_cases():
+        ts = np.concatenate((x, rng.uniform(x[0], x[-1], 100)))
+        got = np.array([pchip(x, y, t) for t in ts])
+        want = PchipInterpolator(x, y)(ts)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), kind
+
+
+def test_fit_that_runs_out_of_evaluations_is_a_domain_error(lens, array, monkeypatch):
+    from lensmimo import feedback
+    monkeypatch.setattr(feedback, "trf_bounds", functools.partial(feedback.trf_bounds,
+                                                                  max_nfev=2))
+    y = feedback.antenna_coordinates(lens, array)
+    profiles = {a: _gauss(y, 3.0, -0.2 * a, 2.0) + 0.1 for a in (-10.0, -5.0, 0.0, 5.0, 10.0)}
+    with pytest.raises(DomainError, match="gaussian fit failed at -10.0 deg"):
+        fit_gaussian_model(profiles, lens, array)
+
+
+@pytest.mark.parametrize("level", [0.0, np.nan])
+def test_fit_refuses_a_profile_without_power(lens, array, level):
+    y = np.linspace(-10, 10, array.num_antennas)
+    profiles = {a: _gauss(y, 3.0, 0.0, 2.0) for a in (-10.0, -5.0, 5.0, 10.0)}
+    profiles[0.0] = np.full(array.num_antennas, level)
+    with pytest.raises(DomainError, match="at 0.0 deg carries no power"):
+        fit_gaussian_model(profiles, lens, array)
 
 
 def test_gaussian_profile_normalized_and_guarded(lens, grid, array, profile_set):
