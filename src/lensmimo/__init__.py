@@ -8,9 +8,9 @@ quantization, and zero-forcing / matched precoding sum rates, end to end.
 from .channel import (UserConfig, apply_lens, correlation_matrix, draw_channel,
                       laplacian_pas, matrix_sqrt, power_correlation_matrix)
 from .errors import ConfigError, DomainError, LensMimoError
-from .feedback import (GaussianProfileModel, correlate_codewords, fit_gaussian_model,
-                       gaussian_profile, random_codebook, real_block,
-                       select_codeword)
+from .feedback import (GaussianProfileModel, Shaping, correlate_codewords,
+                       fit_gaussian_model, gaussian_profile, random_codebook,
+                       real_block, select_codeword)
 from .linklevel import (Precoder, ScenarioConfig, SimResult, build_scenario_profiles,
                         fit_sector_model, mrt_precoder, parse_quantizer,
                         received_sinr, run_monte_carlo, sum_rate, zf_precoder)

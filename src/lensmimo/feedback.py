@@ -46,43 +46,89 @@ def correlate_codewords(w: np.ndarray, s_block: np.ndarray) -> np.ndarray:
     return s_block @ w
 
 
-def select_codeword(h: np.ndarray, w: np.ndarray,
-                    root_a: np.ndarray | None = None) -> np.ndarray:
-    """Per user, the codeword w_j of the stack w with the largest
-    |h^H w_j| / |w_j| (ties go to the lowest index), scaled to unit length.
+class Shaping:
+    """Codewords of draws w_j for T selections, checked and converted once per
+    run: c_j = sqrt(a) w_j for the first `plain` selections and sqrt(a) (S w_j)
+    for the rest. factor stacks each user's S, (users, m, m), or is None (all
+    plain); root_a stacks T sqrt(a), (T, users, m), or is (users, m) for one."""
 
-    h and root_a are (users, m); root_a = sqrt(a) weights every codeword
-    entry by the lens channel's amplitude (MVCQ). Returns (users, m).
+    def __init__(self, root_a: np.ndarray, factor: np.ndarray | None = None,
+                 plain: int = 0):
+        root_a = np.asarray(root_a, dtype=float)
+        if (root_a < 0).any():
+            raise DomainError("profile root has negative entries")
+        self.single = root_a.ndim == 2
+        self.root = root_a.reshape(-1, *root_a.shape[-2:]).swapaxes(0, 1)  # (users, T, m)
+        self.power32 = np.square(np.concatenate((self.root, self.root), -1), dtype=np.float32)
+        self.plain = self.root.shape[1] if factor is None else plain
+        self.factor = factor
+        self.block32 = None if factor is None else real_block(factor).astype(np.float32)
+
+
+# A score is a squared cosine in [0, 1] (g has unit length). Its three float32
+# steps, S w_j, g^H c_j and |c_j|^2, each sum 2m products and err by at most
+# 2m u (u = 2^-24) of the magnitudes summed (Higham 2002, sec. 3.1); 2 x 2 such
+# errors reach |g^H c_j|^2 and one |c_j|^2, so a score errs by at most 5 x 2m u
+# and two scores over 10 x 2m u apart keep their order in float64.
+NEAR_TIE_PER_LENGTH = 10 * 2.0 ** -24
+
+
+def select_codeword(h: np.ndarray, w: np.ndarray,
+                    shaping: Shaping | np.ndarray | None = None) -> np.ndarray:
+    """Per user, the codeword c_j of the draws w (users, 2m, 2^bits) with the
+    largest |h^H c_j| / |c_j| (ties go to the lowest index), at unit length.
+
+    h is (users, m); shaping is a Shaping, root_a (c_j = sqrt(a) w_j) or None.
+    The T selections of a Shaping share one float32 copy of w, and the shaped
+    ones one float32 S W, its square, one norm and one score product; near-ties
+    are redone in float64, and each chosen c_j is built in float64 from w.
+    Returns (users, m), or (T, users, m).
     """
     k, m = h.shape
     if w.shape[:2] != (k, 2 * m):
         raise ConfigError("channel and codeword lengths differ")
+    if not isinstance(shaping, Shaping):
+        shaping = Shaping(np.ones(h.shape) if shaping is None else shaping)
+    if shaping.root.shape[::2] != (k, m):
+        raise ConfigError("profile length and codeword length differ")
     if not h.any(axis=1).all():
         raise DomainError("cannot quantize a zero channel")
-    power = np.square(w)
-    if root_a is None:
-        root_a, norm2 = 1.0, np.ones(2 * m) @ power
-    else:
-        root_a = np.asarray(root_a, dtype=float)
-        if root_a.shape != h.shape:
-            raise ConfigError("profile length and codeword length differ")
-        if (root_a < 0).any():
-            raise DomainError("profile root has negative entries")
-        norm2 = (np.tile(root_a * root_a, 2)[:, None] @ power)[:, 0]
+    w32 = w.astype(np.float32)
+    p, t = shaping.plain, shaping.root.shape[1]
+    # (selections, float32 codewords): the plain ones score w, the rest one S W
+    books = [(slice(0, p), w32)] if p else []
+    if p < t:
+        books.append((slice(p, t), correlate_codewords(w32, shaping.block32)))
+    norm2 = np.concatenate([shaping.power32[:, s] @ np.square(b) for s, b in books], axis=1)
     if not norm2.all():
         raise DomainError("codebook construction produced a zero codeword")
-    # rows [Re g, Im g] and [-Im g, Re g] give Re and Im of g^H w_j, which
-    # is h^H (root_a w_j) for g = root_a h
-    g = root_a * h
-    rows = np.empty((k, 2, 2 * m))
-    rows[:, 0, :m] = rows[:, 1, m:] = g.real
-    rows[:, 0, m:] = g.imag
-    rows[:, 1, :m] = -g.imag
-    t = rows @ w
-    j = np.argmax((t[:, 0] ** 2 + t[:, 1] ** 2) / norm2, axis=1)
-    users = np.arange(k)
-    chosen = w[users, :, j] / np.sqrt(norm2[users, j])[:, None]
-    return root_a * (chosen[:, :m] + 1j * chosen[:, m:])
+    g = _unit(shaping.root * h[:, None])
+    # rows [Re g, Im g] and [-Im g, Re g] give Re and Im of g^H c_j
+    rows = np.concatenate((g.real, g.imag, -g.imag, g.real), axis=-1).astype(np.float32)
+    dots = np.concatenate([rows[:, s].reshape(k, -1, 2 * m) @ b for s, b in books],
+                          axis=1).reshape(k, t, 2, -1)
+    score = (np.square(dots[:, :, 0]) + np.square(dots[:, :, 1])) / norm2
+    j = score.argmax(axis=-1)                                  # (users, T)
+    near = score >= score.max(axis=-1, keepdims=True) - NEAR_TIE_PER_LENGTH * 2 * m
+    for u, q in zip(*np.nonzero(near.sum(axis=-1) != 1)):
+        c = w[u, :m] + 1j * w[u, m:]
+        c = c if q < p else shaping.factor[u] @ c
+        j[u, q] = np.argmax(np.abs(g[u, q].conj() @ c) ** 2
+                            / (shaping.root[u, q] ** 2 @ np.abs(c) ** 2))
+    drawn = w[np.arange(k)[:, None], :, j]                     # (users, T, 2m)
+    chosen = drawn[..., :m] + 1j * drawn[..., m:]
+    if p < t:
+        chosen[:, p:] = (shaping.factor[:, None] @ chosen[:, p:, :, None])[..., 0]
+    chosen = _unit(shaping.root * chosen)
+    return chosen[:, 0] if shaping.single else chosen.swapaxes(0, 1)
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Complex z scaled in place to unit length along its last axis."""
+    re_im = z.view(float)
+    z /= np.sqrt(np.maximum(np.einsum("...j,...j->...", re_im, re_im), np.finfo(float).tiny)
+                 )[..., None]
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ writes through profile_cache.write_table.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -20,12 +21,12 @@ import numpy as np
 from .channel import (UserConfig, apply_lens, correlation_matrix, draw_channel,
                       matrix_sqrt)
 from .errors import ConfigError, DomainError, LensMimoError
-from .feedback import (GaussianProfileModel, correlate_codewords, fit_gaussian_model,
-                       gaussian_profile, random_codebook, real_block,
-                       select_codeword)
+from .feedback import (GaussianProfileModel, Shaping, fit_gaussian_model,
+                       gaussian_profile, random_codebook, select_codeword)
 from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
 
 COND_LIMIT = 1e12
+GRAM_SCREEN = 1e4 ** 2   # ZF by Gram matrix up to cond(H) = 1e4, erring ~cond(H)^2 u
 BLOCK_MATRICES = 32    # (K, M) matrices precoded at once: ~1 MB at K = 4, M = 64
 # the largest array a scenario may make the kernel allocate: 2^24 floats, 128 MB
 MAX_BUFFER_VALUES = 2 ** 24
@@ -192,28 +193,45 @@ def _normalize(f: np.ndarray) -> np.ndarray:
 
 
 def zf_precoder(h_hat: np.ndarray) -> Precoder:
-    """Zero-forcing columns F = pinv(H), so h_k^T f_j = delta_kj before scaling.
+    """Zero-forcing columns F = H^H G^-1 = pinv(H), G = H H^H, of each stacked H,
+    so h_k^T f_j = delta_kj before scaling.
 
-    One SVD per stacked matrix gives cond(H) and pinv(H), formed as np.linalg.pinv
-    forms it; below COND_LIMIT no singular value falls under pinv's 1e-15 cutoff.
+    H whose |G|_F |G^-1|_F (>= cond(G) = cond(H)^2) exceeds GRAM_SCREEN or is
+    not a number takes an SVD formed as np.linalg.pinv forms it, with cond(H)
+    exact: below COND_LIMIT no singular value falls under pinv's 1e-15 cutoff,
+    and above it the users with near-collinear directions are named.
     """
     h_hat = np.atleast_2d(h_hat)
-    try:
-        u, s, vt = np.linalg.svd(h_hat.conj(), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"SVD of the channel matrix failed: {exc}") from exc
-    cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf),
-                     where=s[..., -1] > 0)
-    if not np.all(cond <= COND_LIMIT):
-        j = np.unravel_index(np.argmin(cond <= COND_LIMIT), cond.shape)
-        rows = h_hat[j] / np.linalg.norm(h_hat[j], axis=1, keepdims=True)
-        gram = np.abs(rows @ rows.conj().T)
-        np.fill_diagonal(gram, 0.0)
-        i, k = sorted(np.unravel_index(np.argmax(gram), gram.shape))
-        raise DomainError(
-            f"channel matrix is ill-conditioned (cond={cond[j]:.3g}); users "
-            f"{i} and {k} have near-collinear directions")
-    f = vt.swapaxes(-1, -2) @ ((1.0 / s)[..., None] * u.swapaxes(-1, -2))
+    h_h = h_hat.conj().swapaxes(-1, -2)
+    gram = h_hat @ h_h
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:    # an exactly singular G fails the screen alone
+            inv = np.full_like(gram, np.nan)
+            for i in np.ndindex(gram.shape[:-2]):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    inv[i] = np.linalg.inv(gram[i])
+        screen = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    f, slow = h_h @ inv, ~(screen <= GRAM_SCREEN)
+    if slow.any():
+        bad = h_hat[slow]
+        try:
+            u, s, vt = np.linalg.svd(bad.conj(), full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError(f"SVD of the channel matrix failed: {exc}") from exc
+        cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], np.inf),
+                         where=s[..., -1] > 0)
+        if not np.all(cond <= COND_LIMIT):
+            j = np.argmin(cond <= COND_LIMIT)
+            rows = bad[j] / np.linalg.norm(bad[j], axis=1, keepdims=True)
+            gram = np.abs(rows @ rows.conj().T)
+            np.fill_diagonal(gram, 0.0)
+            i, k = sorted(np.unravel_index(np.argmax(gram), gram.shape))
+            raise DomainError(
+                f"channel matrix is ill-conditioned (cond={cond[j]:.3g}); users "
+                f"{i} and {k} have near-collinear directions")
+        f[slow] = vt.swapaxes(-1, -2) @ ((1.0 / s)[..., None] * u.swapaxes(-1, -2))
     return Precoder(columns=f, normalized=_normalize(f))
 
 
@@ -319,32 +337,26 @@ class SimResult:
     rates: dict[tuple[str, str], np.ndarray]   # (num_snr, trials)
 
 
-def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, blocks: np.ndarray,
-               lens_roots: np.ndarray | None, roots: dict[str, np.ndarray],
-               kinds: list[tuple[str, str]], h_true: np.ndarray, h_hat: np.ndarray,
-               ti: int) -> None:
+def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, lens_roots: np.ndarray | None,
+               full: list[int], rows: list[int], shaping: Shaping | None,
+               h_true: np.ndarray, h_hat: np.ndarray, ti: int) -> None:
     """Draw trial ti into h_true (K, M) and h_hat (quantizers, K, M).
 
     The substream is keyed by the trial index alone, and every SNR point is
     evaluated on the same draws, so a trial's rates depend on the seed and
     its index only; the K channels are drawn before the K codebooks so every
-    quantizer sees the same realizations. S W (correlate_codewords) is
-    formed once and shared by rvq_corr and every mvcq token, which weights
-    it by its own sqrt(a) at selection.
+    quantizer sees the same realizations. One select_codeword call serves
+    the quantizer rows but full: rvq scores the draws, and rvq_corr and every
+    mvcq token share one S W.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ti,)))
     h = draw_channel(factors, rng)
     h_true[:] = h = h if lens_roots is None else lens_roots * h
     bases = random_codebook(cfg.array.num_antennas, cfg.bits, rng, cfg.num_users)
-    correlated = None
-    for q, (token, kind) in enumerate(kinds):
-        if kind == "full":
-            h_hat[q] = h / np.linalg.norm(h, axis=1, keepdims=True)
-            continue
-        if kind != "rvq" and correlated is None:
-            correlated = correlate_codewords(bases, blocks)
-        h_hat[q] = select_codeword(h, bases if kind == "rvq" else correlated,
-                                   roots.get(token))
+    if full:
+        h_hat[full] = h / np.linalg.norm(h, axis=1, keepdims=True)
+    if rows:
+        h_hat[rows] = select_codeword(h, bases, shaping)
 
 
 def _precode_block(cfg: ScenarioConfig, h_true: np.ndarray, h_hat: np.ndarray,
@@ -395,12 +407,18 @@ def run_monte_carlo(cfg: ScenarioConfig,
     k, m = cfg.num_users, cfg.array.num_antennas
     factors = np.stack([matrix_sqrt(correlation_matrix(u, m, cfg.array.spacing))
                         for u in cfg.users])
-    blocks = real_block(factors)
     # apply_lens on all-ones rows checks each profile once and returns sqrt(a)
     ones = np.ones((k, m))
     lens_roots = None if profiles.channel is None else apply_lens(ones, profiles.channel)
-    roots = {t: apply_lens(ones, a) for t, a in profiles.codebook.items()}
-    kinds = [(t, parse_quantizer(t)[0]) for t in cfg.quantizers]
+    kinds = [parse_quantizer(t)[0] for t in cfg.quantizers]
+    full, plain, shaped = ([q for q, kind in enumerate(kinds) if kind in group]
+                           for group in (("full",), ("rvq",), ("rvq_corr", "mvcq")))
+    rows, shaping = plain + shaped, None
+    if rows:
+        roots = np.stack([apply_lens(ones, profiles.codebook[t]) if t in profiles.codebook
+                          else ones for t in (cfg.quantizers[q] for q in rows)])
+        shaping = Shaping(roots[0] if len(rows) == 1 else roots, factors if shaped else None,
+                          len(plain))
     n_snr, n_tr = len(cfg.snr_db), cfg.trials
     per_block = max(1, BLOCK_MATRICES // len(kinds))
     h_true = np.empty((per_block, k, m), dtype=complex)
@@ -409,8 +427,8 @@ def run_monte_carlo(cfg: ScenarioConfig,
     for first in range(0, n_tr, per_block):
         n = min(per_block, n_tr - first)
         for c in range(n):
-            _fill_cell(cfg, factors, blocks, lens_roots, roots, kinds, h_true[c],
-                       h_hat[c], first + c)
+            _fill_cell(cfg, factors, lens_roots, full, rows, shaping, h_true[c], h_hat[c],
+                       first + c)
         out[..., first:first + n] = _precode_block(
             cfg, h_true[:n], h_hat[:n], first).transpose(3, 2, 0, 1)
     rates = {(p, t): out[i, q]

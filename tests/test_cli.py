@@ -688,6 +688,8 @@ def _truncate(draw, blob):
 
 
 def _flip(draw, blob):
+    if not blob:             # earlier steps may leave nothing to flip
+        return blob
     i = draw(st.integers(0, len(blob) - 1))
     return blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1:]
 
@@ -739,13 +741,26 @@ def test_fuzzed_caches_keep_the_exit_code_contract(ini_dir, cache_dir, steps, da
     blob = src.read_bytes()
     for corrupt in steps:
         blob = corrupt(data.draw, blob)
+    _simulate_on_cache(ini_dir, src.name, blob)
+
+
+def test_empty_cache_keeps_the_exit_code_contract(ini_dir, cache_dir):
+    """A cache file with no bytes at all (truncating, then dropping its only
+    header line, leaves one) is refused cleanly."""
+    src = next(cache_dir.glob("profiles_*.csv"))
+    assert _simulate_on_cache(ini_dir, src.name, b"") == EXIT_CONFIG
+
+
+def _simulate_on_cache(ini_dir, name, blob):
+    """Exit code of a --no-build simulate of small.ini whose only cache file
+    is blob, run under the exit-code contract."""
     with tempfile.TemporaryDirectory() as d:
         cache, out = pathlib.Path(d, "cache"), pathlib.Path(d, "out")
         cache.mkdir()
-        (cache / src.name).write_bytes(blob)
-        _run_clean(["simulate", "--config", str(ini_dir / "small.ini"),
-                    "--cache-dir", str(cache), "--out-dir", str(out), "--no-build"],
-                   d, out)
+        (cache / name).write_bytes(blob)
+        return _run_clean(["simulate", "--config", str(ini_dir / "small.ini"),
+                           "--cache-dir", str(cache), "--out-dir", str(out),
+                           "--no-build"], d, out)
 
 
 # ---------------------------------------------------------------------------

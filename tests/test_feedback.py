@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import beta
 
 from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec,
-                      PropagationGrid, UserConfig, antenna_power_profile,
+                      PropagationGrid, Shaping, UserConfig, antenna_power_profile,
                       correlate_codewords, correlation_matrix,
                       fit_gaussian_model, gaussian_profile, matrix_sqrt,
                       random_codebook, real_block, select_codeword)
@@ -295,6 +295,24 @@ def test_quantize_tie_breaks_low_index():
     h = np.array([[1.0 + 0j, 0.0, 0.0, 0.0]])
     block = np.concatenate((vecs.real, vecs.imag))[None]
     assert np.array_equal(select_codeword(h, block)[0], vecs[:, 0])
+
+
+def test_float32_near_tie_resolves_as_float64():
+    """Codeword 1 beats codeword 0 by 1e-10 in squared cosine, which float32
+    cannot see (1 + 1e-10 rounds to 1): the float32 scores tie, and the user is
+    redone in float64, which picks codeword 1, also for each selection of a
+    stacked Shaping."""
+    vecs = np.zeros((4, 4), dtype=complex)
+    vecs[:2, 0] = [1.0, 1e-5]           # squared cosine 1 / (1 + 1e-10)
+    vecs[0, 1] = 1.0                    # squared cosine 1
+    vecs[1, 2] = vecs[2, 3] = 1.0
+    h = np.array([[1.0 + 0j, 0.0, 0.0, 0.0]])
+    block = np.concatenate((vecs.real, vecs.imag))[None]
+    assert np.float32(1.0) + np.float32(1e-10) == np.float32(1.0)
+    assert np.array_equal(select_codeword(h, block)[0], vecs[:, 1])
+    shaping = Shaping(np.stack([np.ones((1, 4)), np.full((1, 4), 2.0)]), np.eye(4)[None])
+    for out in select_codeword(h, block, shaping):
+        assert np.array_equal(out[0], vecs[:, 1])
 
 
 def test_quantize_rejects_zero_channel():

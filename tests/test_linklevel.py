@@ -1,19 +1,30 @@
 """Precoders, exact SINR, scenario validation, and the Monte-Carlo driver."""
 
+import dataclasses
+import functools
+import pathlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import gammaln, roots_genlaguerre
+from scipy.stats import gamma as gamma_dist
 
 from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec, ScenarioConfig,
-                      UserConfig, antenna_power_profile, apply_lens, correlate_codewords,
+                      Shaping, UserConfig, antenna_power_profile, apply_lens,
                       correlation_matrix, draw_channel, gaussian_profile, matrix_sqrt,
-                      mrt_precoder, parse_quantizer, random_codebook, real_block,
-                      received_sinr, run_monte_carlo, select_codeword, sum_rate,
-                      zf_precoder)
+                      mrt_precoder, parse_quantizer, random_codebook, received_sinr,
+                      run_monte_carlo, select_codeword, sum_rate, zf_precoder)
 from lensmimo import linklevel
 from lensmimo.cli import main, parse_config
 from lensmimo.linklevel import build_scenario_profiles
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _draw(rng, shape):
@@ -52,10 +63,47 @@ def test_zf_single_user_matches_mrt_direction():
 
 
 def test_zf_columns_equal_numpy_pinv():
+    """The Gram route errs by about cond(H)^2 u against pinv's SVD; these
+    draws have cond(H) < 10, so 1e-13 relative (Frobenius) leaves room."""
     rng = np.random.default_rng(14)
     for shape in ((1, 8), (4, 64), (5, 16)):
         h = _draw(rng, shape)
-        assert np.array_equal(zf_precoder(h).columns, np.linalg.pinv(h))
+        ref = np.linalg.pinv(h)
+        assert np.linalg.cond(h) < 10.0
+        assert np.linalg.norm(zf_precoder(h).columns - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_ill_conditioned_zf_takes_the_svd_route_exactly():
+    """A cond(H) = 1e8 matrix fails the Gram screen and equals pinv bit for bit,
+    also inside a stack of well-conditioned ones, which keep the Gram route."""
+    rng = np.random.default_rng(15)
+    q1, _ = np.linalg.qr(_draw(rng, (4, 4)))
+    q2, _ = np.linalg.qr(_draw(rng, (16, 4)))
+    bad = (q1 * np.array([1.0, 1e-2, 1e-5, 1e-8])) @ q2.conj().T
+    assert np.linalg.cond(bad) == pytest.approx(1e8, rel=1e-6)
+    assert np.array_equal(zf_precoder(bad).columns, np.linalg.pinv(bad))
+    stack = _draw(rng, (3, 4, 16))
+    stack[1] = bad
+    f = zf_precoder(stack).columns
+    assert np.array_equal(f[1], np.linalg.pinv(bad))
+    for i in (0, 2):
+        assert np.array_equal(f[i], zf_precoder(stack[i]).columns)
+        assert not np.array_equal(f[i], np.linalg.pinv(stack[i]))
+
+
+def test_exactly_singular_gram_takes_the_svd_route_alone():
+    """Rows 2^-30 apart make H H^H exactly singular in float64 although
+    cond(H) ~ 2e9 is under COND_LIMIT: that matrix takes the SVD, and the
+    other matrices of its stack keep the bits they have on their own."""
+    h = np.zeros((2, 4), dtype=complex)
+    h[:, 0] = 1.0
+    h[1, 1] = 2.0 ** -30
+    stack = _draw(np.random.default_rng(16), (3, 2, 4))
+    stack[1] = h
+    f = zf_precoder(stack).columns
+    assert np.array_equal(f[1], np.linalg.pinv(h))
+    for i in (0, 2):
+        assert np.array_equal(f[i], zf_precoder(stack[i]).columns)
 
 
 def test_zf_maps_svd_failure_to_domain_error():
@@ -308,12 +356,13 @@ def _reference_cell_rates(cfg, profiles, factors, ti):
         else:
             rows = []
             for u in range(k):
-                cb, root_a = bases[u], None
+                shaping = None
                 if kind in ("rvq_corr", "mvcq"):
-                    cb = correlate_codewords(cb, real_block(factors[u]))
-                if kind == "mvcq":
-                    root_a = np.sqrt(profiles.codebook[token][u])[None]
-                rows.append(select_codeword(h_true[u][None], cb, root_a)[0])
+                    root_a = np.ones((1, m))
+                    if kind == "mvcq":
+                        root_a = np.sqrt(profiles.codebook[token][u])[None]
+                    shaping = Shaping(root_a, factors[u][None])
+                rows.append(select_codeword(h_true[u][None], bases[u], shaping)[0])
             h_hat = np.stack(rows)
         for prec in cfg.precoders:
             p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
@@ -466,6 +515,137 @@ def test_snr_points_do_not_depend_on_the_rest_of_the_grid(monkeypatch):
             assert np.array_equal(grid.rates[c][si], alone.rates[c][0]), (snr, c)
             assert np.array_equal(grid.mean[c][si:si + 1], alone.mean[c]), (snr, c)
             assert np.array_equal(grid.stderr[c][si:si + 1], alone.stderr[c]), (snr, c)
+
+
+@functools.cache
+def _layout_profiles():
+    return build_scenario_profiles(_kernel_cfg(True, bits=3, trials=1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(block=st.integers(1, 64), trials=st.integers(1, 12),
+       quantizers=st.lists(st.sampled_from(_kernel_cfg(True).quantizers), min_size=1,
+                           max_size=6, unique=True))
+def test_rates_do_not_depend_on_the_block_layout(block, trials, quantizers):
+    """Every rate is byte-identical to the rates at BLOCK_MATRICES = 32 for any
+    block size, trial count and quantizer set: the selections, ZF by Gram
+    matrix and its SVD fallback all work matrix by matrix. Every third trial's
+    fed-back users are made nearly collinear (cond(H) ~ 1e7), so its matrices
+    take the SVD fallback inside blocks that also hold Gram-route ones."""
+    fill = linklevel._fill_cell
+
+    def near_collinear(*args):
+        fill(*args)
+        h_hat, ti = args[-2:]
+        if ti % 3 == 1:
+            h_hat[:, 1] = h_hat[:, 0] + 1e-7 * h_hat[:, 1]
+    cfg = _small_cfg(lens_enabled=True, quantizers=tuple(quantizers), bits=3,
+                     trials=trials)
+    runs = []
+    for size in (32, block):
+        with mock.patch.object(linklevel, "BLOCK_MATRICES", size), \
+                mock.patch.object(linklevel, "_fill_cell", near_collinear):
+            runs.append(run_monte_carlo(cfg, _layout_profiles()).rates)
+    for c in runs[0]:
+        assert runs[0][c].tobytes() == runs[1][c].tobytes(), c
+
+
+def _replay_selections(name, trials):
+    """Every select_codeword call of a run of the shipped scenario name, with
+    its output, and the per-trial ZF condition numbers of the fed-back H."""
+    cfg = parse_config(str(SCENARIOS / f"{name}.ini"))
+    cfg = dataclasses.replace(cfg, trials=trials)
+    calls, conds = [], []
+
+    def spy(h, w, shaping=None):
+        out = select_codeword(h, w, shaping)
+        calls.append((h, w.copy(), shaping, out))
+        return out
+
+    def zf(h_hat):
+        conds.extend(np.linalg.cond(h_hat).ravel())
+        return zf_precoder(h_hat)
+    with warnings.catch_warnings(), mock.patch.object(linklevel, "select_codeword", spy), \
+            mock.patch.object(linklevel, "zf_precoder", zf):
+        warnings.simplefilter("ignore")      # the coarse-step source warns
+        run_monte_carlo(cfg)
+    return calls, np.array(conds)
+
+
+@pytest.mark.parametrize("name", ["four_user_downlink", "profile_sources"])
+def test_float32_scoring_picks_what_float64_picks(name):
+    """In every selection of a replayed run, the codeword emitted equals the
+    one picked by scoring sqrt(a) (S w_j) for all j in float64 (built by
+    matrix products here, so it agrees to rounding); and every fed-back H is
+    far inside the Gram route's screen."""
+    calls, conds = _replay_selections(name, 8)
+    picks = 0
+    for h, w, shaping, out in calls:
+        out = out[None] if shaping.single else out
+        k, m = h.shape
+        for q, u in np.ndindex(len(out), k):
+            c = w[u, :m] + 1j * w[u, m:]
+            if q >= shaping.plain:
+                c = shaping.factor[u] @ c
+            c = shaping.root[u, q][:, None] * c
+            j = np.argmax(np.abs(h[u].conj() @ c) ** 2 / np.sum(np.abs(c) ** 2, axis=0))
+            assert np.allclose(out[q, u], c[:, j] / np.linalg.norm(c[:, j]),
+                               rtol=0.0, atol=1e-12), (q, u)
+            picks += 1
+    users_times_quantizers = {"four_user_downlink": 4 * 2, "profile_sources": 5 * 4}
+    assert picks == 8 * users_times_quantizers[name]
+    assert conds.max() < 1e2 < np.sqrt(linklevel.GRAM_SCREEN)
+
+
+def _iid_cfg(m, k, **overrides):
+    """Lens off and a 1e6-degree spread: R is the identity to ~1e-9, so the
+    channel entries are i.i.d. CN(0, 1)."""
+    base = dict(users=tuple(UserConfig(a, 1e6) for a in np.linspace(-20.0, 20.0, k)),
+                array=ArraySpec(num_antennas=m), lens_enabled=False, precoders=("zf",),
+                bits=1, snr_db=(0.0, 10.0, 20.0), seed=2006)
+    return ScenarioConfig(**{**base, **overrides})
+
+
+def _z_scores(rates, expected):
+    """(mean - expected) / SE of the mean, per SNR point."""
+    se = rates.std(axis=1, ddof=1) / np.sqrt(rates.shape[1])
+    return (rates.mean(axis=1) - expected) / se
+
+
+@pytest.mark.parametrize("m, k", [(8, 4), (8, 8)])
+def test_zf_with_perfect_csi_matches_the_gamma_law(m, k):
+    """With perfect CSI, ZF's SINR_k is (P/K) / |pinv(H_hat)_k|^2 |h_k|^2 ~
+    (P/K) Gamma(M - K + 1), so the mean sum rate is K E[log2(1 + (P/K) Gamma)];
+    every SNR point within 4 SE of the quadrature value."""
+    cfg = _iid_cfg(m, k, quantizers=("full",), trials=3000)
+    rates = run_monte_carlo(cfg).rates[("zf", "full")]
+    shape = m - k + 1
+    expected = [k * quad(lambda x, p=10.0 ** (snr / 10.0): np.log2(1.0 + p / k * x)
+                         * gamma_dist.pdf(x, shape), 0.0, np.inf)[0]
+                for snr in cfg.snr_db]
+    assert np.all(np.abs(_z_scores(rates, expected)) <= 4.0)
+
+
+@pytest.mark.parametrize("m, bits", [(4, 3), (8, 4)])
+def test_single_user_rvq_matches_the_max_of_betas_law(m, bits):
+    """One user, RVQ: the rate is log2(1 + P G C), G = |h|^2 ~ Gamma(M) and C
+    the largest of 2^B independent Beta(1, M - 1) alignments, with CDF
+    (1 - (1 - x)^(M-1))^(2^B) (Au-Yeung & Love 2007); ZF and MRT both within
+    4 SE of the quadrature value at every SNR point."""
+    cfg = _iid_cfg(m, 1, quantizers=("rvq",), precoders=("zf", "mrt"), bits=bits,
+                   trials=4000)
+    res = run_monte_carlo(cfg)
+    n = 2 ** bits
+    g, wts = roots_genlaguerre(60, m - 1)     # E over Gamma(M): sum wts f(g) / (M-1)!
+    wts = wts / np.exp(gammaln(m))
+
+    def density(c):
+        return n * (1.0 - (1.0 - c) ** (m - 1)) ** (n - 1) * (m - 1) * (1.0 - c) ** (m - 2)
+    expected = [quad(lambda c, p=10.0 ** (snr / 10.0): density(c)
+                     * (wts @ np.log2(1.0 + p * g * c)), 0.0, 1.0)[0]
+                for snr in cfg.snr_db]
+    for prec in cfg.precoders:
+        assert np.all(np.abs(_z_scores(res.rates[(prec, "rvq")], expected)) <= 4.0), prec
 
 
 def test_monte_carlo_seed_changes_results():
