@@ -172,7 +172,7 @@ def cmd_bpm_field(args: argparse.Namespace) -> int:
               ("rows_transverse", grid.num_samples), ("cols_axial", steps + 1),
               ("peak_distance", z_peak), ("peak_gain_per_cell", gain)]
     # one row per transverse sample after transpose
-    profile_cache.write_table(path, header, None, (row.tolist() for row in inten.T))
+    profile_cache.write_tables([(path, header, None, (row.tolist() for row in inten.T))])
     print(f"peak at z = {z_peak!r} wavelengths, "
           f"gain {gain!r} per antenna cell; field written to {path}")
     return EXIT_OK
@@ -232,11 +232,11 @@ def cmd_fit_gaussian(args: argparse.Namespace) -> int:
     params = profile_cache.cache_params(lens, grid, array)
     path = os.path.join(args.out_dir,
                         f"gaussian_fit_{profile_cache.params_digest(params)}.csv")
-    profile_cache.write_table(
+    profile_cache.write_tables([(
         path, params.items(),
         ["theta_deg", "p", "q", "r", "residual_rms", "poor_fit"],
         zip(model.anchors_deg, model.p, model.q, model.r, model.residual_rms,
-            map(str, model.poor_fit.tolist())))
+            map(str, model.poor_fit.tolist())))])
     print(f"wrote {path}")
     return EXIT_OK
 

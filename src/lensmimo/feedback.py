@@ -38,18 +38,11 @@ def real_block(s: np.ndarray) -> np.ndarray:
     return np.block([[s.real, -s.imag], [s.imag, s.real]])
 
 
-def correlate_codewords(w: np.ndarray, s_block: np.ndarray) -> np.ndarray:
-    """S W for each user's correlation factor S, given as real_block(S), so
-    codeword statistics match the CN(0, R) channel they will quantize."""
-    if s_block.shape[-1] != w.shape[-2]:
-        raise ConfigError("correlation factor and codebook dimensions differ")
-    return s_block @ w
-
-
 class Shaping:
     """Codewords of draws w_j for T selections, checked and converted once per
     run: c_j = sqrt(a) w_j for the first `plain` selections and sqrt(a) (S w_j)
-    for the rest. factor stacks each user's S, (users, m, m), or is None (all
+    for the rest, S w_j giving codewords the statistics of the CN(0, R) channel
+    they quantize. factor stacks each user's S, (users, m, m), or is None (all
     plain); root_a stacks T sqrt(a), (T, users, m), or is (users, m) for one."""
 
     def __init__(self, root_a: np.ndarray, factor: np.ndarray | None = None,
@@ -60,6 +53,9 @@ class Shaping:
         self.single = root_a.ndim == 2
         self.root = root_a.reshape(-1, *root_a.shape[-2:]).swapaxes(0, 1)  # (users, T, m)
         self.power32 = np.square(np.concatenate((self.root, self.root), -1), dtype=np.float32)
+        users, _, m = self.root.shape
+        if factor is not None and np.shape(factor) != (users, m, m):
+            raise ConfigError("factors and profile roots differ in users or length")
         self.plain = self.root.shape[1] if factor is None else plain
         self.factor = factor
         self.block32 = None if factor is None else real_block(factor).astype(np.float32)
@@ -98,7 +94,7 @@ def select_codeword(h: np.ndarray, w: np.ndarray,
     # (selections, float32 codewords): the plain ones score w, the rest one S W
     books = [(slice(0, p), w32)] if p else []
     if p < t:
-        books.append((slice(p, t), correlate_codewords(w32, shaping.block32)))
+        books.append((slice(p, t), shaping.block32 @ w32))
     norm2 = np.concatenate([shaping.power32[:, s] @ np.square(b) for s, b in books], axis=1)
     if not norm2.all():
         raise DomainError("codebook construction produced a zero codeword")

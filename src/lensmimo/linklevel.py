@@ -6,7 +6,7 @@ transmit power in dB doubles as the SNR axis. Precoders are built only from
 the directions users feed back, chosen by feedback's codebook functions. The
 precoders, SINR and sum rate take stacks, so the Monte Carlo precodes a block
 of trials at once and evaluates every SNR point on it. No file I/O: the CLI
-writes through profile_cache.write_table.
+writes through profile_cache.write_tables.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ GAUSSIAN_ANCHORS_DEG = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 5.0)
 PRECODER_TOKENS = ("zf", "mrt")
 QUANTIZER_KINDS = ("full", "rvq", "rvq_corr", "mvcq")
 MVCQ_SOURCES = ("bpm", "gaussian", "sub_bpm")
-
-
-@dataclass(frozen=True)
-class Precoder:
-    """Raw columns F and the power-normalized columns G, g_k = f_k/(sqrt(K)|f_k|)."""
-
-    columns: np.ndarray      # (..., M, K)
-    normalized: np.ndarray   # (..., M, K), total power sum |g_k|^2 = 1
 
 
 def parse_quantizer(token: str) -> tuple[str, str, int]:
@@ -186,15 +178,16 @@ class ScenarioConfig:
 
 
 def _normalize(f: np.ndarray) -> np.ndarray:
+    """Columns g_k = f_k/(sqrt(K)|f_k|), of total power sum |g_k|^2 = 1."""
     norms = np.linalg.norm(f, axis=-2, keepdims=True)
     if np.any(norms == 0):
         raise DomainError("precoder has a zero column")
     return f / (np.sqrt(f.shape[-1]) * norms)
 
 
-def zf_precoder(h_hat: np.ndarray) -> Precoder:
-    """Zero-forcing columns F = H^H G^-1 = pinv(H), G = H H^H, of each stacked H,
-    so h_k^T f_j = delta_kj before scaling.
+def zf_precoder(h_hat: np.ndarray) -> np.ndarray:
+    """Normalized (..., M, K) zero-forcing columns of F = H^H G^-1 = pinv(H),
+    G = H H^H, of each stacked H, so h_k^T f_j = delta_kj before scaling.
 
     H whose |G|_F |G^-1|_F (>= cond(G) = cond(H)^2) exceeds GRAM_SCREEN or is
     not a number takes an SVD formed as np.linalg.pinv forms it, with cond(H)
@@ -232,16 +225,15 @@ def zf_precoder(h_hat: np.ndarray) -> Precoder:
                 f"channel matrix is ill-conditioned (cond={cond[j]:.3g}); users "
                 f"{i} and {k} have near-collinear directions")
         f[slow] = vt.swapaxes(-1, -2) @ ((1.0 / s)[..., None] * u.swapaxes(-1, -2))
-    return Precoder(columns=f, normalized=_normalize(f))
+    return _normalize(f)
 
 
-def mrt_precoder(h_hat: np.ndarray) -> Precoder:
-    """Matched columns f_k = conj(h_k) for the transposed signal model."""
+def mrt_precoder(h_hat: np.ndarray) -> np.ndarray:
+    """Normalized (..., M, K) matched columns f_k = conj(h_k) (transposed model)."""
     h_hat = np.atleast_2d(h_hat)
     if not np.linalg.norm(h_hat, axis=-1).all():
         raise DomainError("channel matrix has a zero row")
-    f = h_hat.conj().swapaxes(-1, -2)
-    return Precoder(columns=f, normalized=_normalize(f))
+    return _normalize(h_hat.conj().swapaxes(-1, -2))
 
 
 def received_sinr(h_tilde: np.ndarray, g: np.ndarray,
@@ -264,7 +256,7 @@ def sum_rate(sinrs: np.ndarray) -> np.ndarray:
 class ScenarioProfiles:
     """Power profiles a scenario needs: the true channel's and the codebooks'."""
 
-    channel: np.ndarray | None                 # (K, M) or None without lens
+    channel: np.ndarray                        # (K, M), all ones without lens
     codebook: dict[str, np.ndarray]            # quantizer token -> (K, M)
 
 
@@ -301,7 +293,7 @@ def build_scenario_profiles(cfg: ScenarioConfig,
     (sub_bpm) codebooks are always propagated.
     """
     if not cfg.lens_enabled:
-        return ScenarioProfiles(channel=None, codebook={})
+        return ScenarioProfiles(np.ones((cfg.num_users, cfg.array.num_antennas)), {})
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
     propagated = partial(antenna_power_profile, lens, grid, array)
     if profile_at is None:
@@ -337,7 +329,7 @@ class SimResult:
     rates: dict[tuple[str, str], np.ndarray]   # (num_snr, trials)
 
 
-def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, lens_roots: np.ndarray | None,
+def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, lens_roots: np.ndarray,
                full: list[int], rows: list[int], shaping: Shaping | None,
                h_true: np.ndarray, h_hat: np.ndarray, ti: int) -> None:
     """Draw trial ti into h_true (K, M) and h_hat (quantizers, K, M).
@@ -350,8 +342,7 @@ def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, lens_roots: np.ndarray 
     mvcq token share one S W.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ti,)))
-    h = draw_channel(factors, rng)
-    h_true[:] = h = h if lens_roots is None else lens_roots * h
+    h_true[:] = h = lens_roots * draw_channel(factors, rng)
     bases = random_codebook(cfg.array.num_antennas, cfg.bits, rng, cfg.num_users)
     if full:
         h_hat[full] = h / np.linalg.norm(h, axis=1, keepdims=True)
@@ -375,7 +366,7 @@ def _precode_block(cfg: ScenarioConfig, h_true: np.ndarray, h_hat: np.ndarray,
     rates = np.empty((len(p_t), *h_hat.shape[:2], len(precoders)))
     for i, precoder in enumerate(precoders):
         try:
-            g = precoder(h_hat).normalized
+            g = precoder(h_hat)
         except LensMimoError:
             for c, q, p in np.ndindex(*h_hat.shape[:2], len(precoders)):
                 try:
@@ -409,7 +400,7 @@ def run_monte_carlo(cfg: ScenarioConfig,
                         for u in cfg.users])
     # apply_lens on all-ones rows checks each profile once and returns sqrt(a)
     ones = np.ones((k, m))
-    lens_roots = None if profiles.channel is None else apply_lens(ones, profiles.channel)
+    lens_roots = apply_lens(ones, profiles.channel)
     kinds = [parse_quantizer(t)[0] for t in cfg.quantizers]
     full, plain, shaped = ([q for q, kind in enumerate(kinds) if kind in group]
                            for group in (("full",), ("rvq",), ("rvq_corr", "mvcq")))

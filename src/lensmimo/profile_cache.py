@@ -12,7 +12,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class ProfileTable:
     aods_deg: np.ndarray        # (n,) sorted
     profiles: np.ndarray        # (n, M)
     params: dict
-
-    @property
-    def digest(self) -> str:
-        return params_digest(self.params)
 
     def fault(self) -> str | None:
         """Why the rows are not power profiles (finite, nonnegative, as long
@@ -142,17 +138,12 @@ def write_tables(tables: Iterable[tuple]) -> None:
         raise
 
 
-def write_table(path, header, columns: Sequence[str] | None, rows) -> None:
-    """write_tables for one table."""
-    write_tables([(path, header, columns, rows)])
-
-
 def write_profile_table(path, table: ProfileTable) -> None:
     if fault := table.fault():
         raise DomainError(f"refusing to cache a profile table with {fault} at {path}")
-    write_table(path, [*table.params.items(), ("hash", table.digest)],
-                ["aod_deg", *(f"a_{m + 1}" for m in range(table.profiles.shape[1]))],
-                np.column_stack((table.aods_deg, table.profiles)).tolist())
+    write_tables([(path, [*table.params.items(), ("hash", params_digest(table.params))],
+                   ["aod_deg", *(f"a_{m + 1}" for m in range(table.profiles.shape[1]))],
+                   np.column_stack((table.aods_deg, table.profiles)).tolist())])
 
 
 def read_profile_table(path, expected_params: dict | None = None) -> ProfileTable:

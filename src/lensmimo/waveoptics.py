@@ -136,16 +136,13 @@ def lens_phase_profile(lens: LensSpec, grid: PropagationGrid,
     return u
 
 
-def fresnel_transfer(grid: PropagationGrid,
-                     dz: float | np.ndarray | None = None) -> np.ndarray:
+def fresnel_transfer(grid: PropagationGrid, dz: float | np.ndarray) -> np.ndarray:
     """Fourier-domain propagator exp(j kappa dz - j pi dz fx^2).
 
     This is the exact transfer function of the Fresnel convolution kernel:
     its modulus is 1 and transfers compose, H(z1) H(z2) = H(z1 + z2). dz may
     be an array of distances (a column gives one transfer row per distance).
     """
-    if dz is None:
-        dz = grid.dz
     dz = np.asarray(dz, dtype=float)
     if not np.all(dz > 0):
         raise ConfigError("propagation distance must be positive")

@@ -98,8 +98,9 @@ def test_small_instance_oracles():
     t0 = time.perf_counter()
 
     h = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+    f = h.conj().T @ np.linalg.inv(h @ h.conj().T)
     zf_err = float(np.max(np.abs(
-        zf_precoder(h).columns - h.conj().T @ np.linalg.inv(h @ h.conj().T))))
+        zf_precoder(h) - f / (np.sqrt(2.0) * np.linalg.norm(f, axis=0)))))
 
     w = random_codebook(4, 4, rng)
     cb = w[0, :4] + 1j * w[0, 4:]

@@ -594,17 +594,19 @@ def test_failed_rewrite_keeps_the_old_cache(ini_dir, tmp_path, capsys, monkeypat
     assert main(argv) == EXIT_OK
     [cache] = tmp_path.iterdir()
     before = cache.read_bytes()
-    write_table = profile_cache.write_table
+    write_tables = profile_cache.write_tables
 
-    def fails_partway(path, header, columns, rows):
+    def fails_partway(tables):
+        [(path, header, columns, rows)] = tables
+
         def rows_then_error():
             for i, row in enumerate(rows):
                 if i == 60:
                     raise OSError("no space left on device")
                 yield row
-        write_table(path, header, columns, rows_then_error())
+        write_tables([(path, header, columns, rows_then_error())])
 
-    monkeypatch.setattr(profile_cache, "write_table", fails_partway)
+    monkeypatch.setattr(profile_cache, "write_tables", fails_partway)
     assert main(argv) == EXIT_IO
     assert "no space left on device" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cache]

@@ -11,9 +11,8 @@ from scipy.special import beta
 
 from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec,
                       PropagationGrid, Shaping, UserConfig, antenna_power_profile,
-                      correlate_codewords, correlation_matrix,
-                      fit_gaussian_model, gaussian_profile, matrix_sqrt,
-                      random_codebook, real_block, select_codeword)
+                      correlation_matrix, fit_gaussian_model, gaussian_profile,
+                      matrix_sqrt, random_codebook, real_block, select_codeword)
 
 
 def _batch_normalize(w):
@@ -96,16 +95,23 @@ def test_rvq_rejects_bad_sizes():
 
 
 def test_correlate_identity_is_noop():
-    cb = random_codebook(16, 4, np.random.default_rng(5))
-    out = correlate_codewords(cb, real_block(np.eye(16)))
-    assert np.allclose(out, cb, atol=1e-12)
+    """Identity factors shape nothing: the shaped selection (one S W in the
+    kernel) feeds back what scoring the draws themselves does."""
+    rng = np.random.default_rng(5)
+    cb = random_codebook(16, 4, rng, users=3)
+    assert np.array_equal(real_block(np.eye(16)) @ cb, cb)
+    for _ in range(5):
+        h = _batch_draw(rng, (3, 16))
+        identity = Shaping(np.ones((3, 16)), np.eye(16)[None].repeat(3, 0))
+        shaped = select_codeword(h, cb, identity)
+        assert np.allclose(shaped, select_codeword(h, cb), rtol=0.0, atol=1e-12)
 
 
 def test_real_block_acts_as_the_complex_product():
     rng = np.random.default_rng(6)
     s = _batch_draw(rng, (3, 8, 8))
     w = random_codebook(8, 3, rng, users=3)
-    out = correlate_codewords(w, real_block(s))
+    out = real_block(s) @ w
     assert np.allclose(out[:, :8] + 1j * out[:, 8:], s @ (w[:, :8] + 1j * w[:, 8:]),
                        atol=1e-12)
 
@@ -114,16 +120,21 @@ def test_correlate_rank_one_collapses_directions():
     """Fully correlated factor (zero spacing limit) leaves collinear codewords."""
     m = 8
     s = matrix_sqrt(np.ones((m, m), dtype=complex))
-    cb = _chosen_codewords(correlate_codewords(
-        random_codebook(m, 4, np.random.default_rng(9)), real_block(s)))
+    cb = _chosen_codewords(real_block(s) @ random_codebook(m, 4, np.random.default_rng(9)))
     gram = np.abs(cb.conj().T @ cb)
     assert np.allclose(gram, 1.0, atol=1e-9)
 
 
 def test_correlate_rejects_dimension_mismatch():
-    cb = random_codebook(8, 3, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        correlate_codewords(cb, real_block(np.eye(10)))
+    """Factors of the wrong length fail when the Shaping is built; a Shaping
+    of the wrong length fails against the codebook it is asked to shape."""
+    rng = np.random.default_rng(0)
+    cb = random_codebook(8, 3, rng)
+    with pytest.raises(ConfigError, match="differ in users or length"):
+        Shaping(np.ones((1, 8)), np.eye(10)[None])
+    too_long = Shaping(np.ones((1, 10)), np.eye(10)[None])
+    with pytest.raises(ConfigError, match="length differ"):
+        select_codeword(_batch_draw(rng, (1, 8)), cb, too_long)
 
 
 def test_correlated_codebook_quantizes_better():
@@ -153,8 +164,7 @@ def test_correlated_codebook_quantizes_better():
 def test_mvcq_all_ones_profile_degenerates():
     m = 16
     s = matrix_sqrt(correlation_matrix(UserConfig(0.0, 5.0), m))
-    corr = correlate_codewords(random_codebook(m, 4, np.random.default_rng(3)),
-                               real_block(s))
+    corr = real_block(s) @ random_codebook(m, 4, np.random.default_rng(3))
     mv = _chosen_codewords(corr, np.ones(m))
     assert np.allclose(mv, _chosen_codewords(corr), atol=1e-12)
 
@@ -162,8 +172,7 @@ def test_mvcq_all_ones_profile_degenerates():
 def test_mvcq_entries_scale_with_profile():
     """Before renormalization, |w''_m|^2 = a_m |w'_m|^2 entry for entry."""
     m = 16
-    corr = correlate_codewords(random_codebook(m, 4, np.random.default_rng(4)),
-                               real_block(np.eye(m)))
+    corr = random_codebook(m, 4, np.random.default_rng(4))
     a = np.random.default_rng(5).random(m) * 2.0
     mv = _chosen_codewords(corr, np.sqrt(a))
     cols = _columns(corr)
@@ -177,8 +186,7 @@ def test_mvcq_concentrates_on_dominant_cell():
     a = np.full(m, 8.0 / 63.0)
     a[40] = 56.0
     s = matrix_sqrt(correlation_matrix(UserConfig(0.0, 5.0), m))
-    corr = correlate_codewords(random_codebook(m, 6, np.random.default_rng(12)),
-                               real_block(s))
+    corr = real_block(s) @ random_codebook(m, 6, np.random.default_rng(12))
     mv = _chosen_codewords(corr, np.sqrt(a))
     assert np.mean(np.abs(mv[40]) ** 2) > 0.5
 
@@ -186,12 +194,16 @@ def test_mvcq_concentrates_on_dominant_cell():
 def test_mvcq_rejects_bad_inputs():
     m = 8
     rng = np.random.default_rng(1)
-    corr = correlate_codewords(random_codebook(m, 3, rng), real_block(np.eye(m)))
+    corr = random_codebook(m, 3, rng)
     h = _batch_draw(rng, (1, m))
     with pytest.raises(DomainError):
         select_codeword(h, corr, -np.ones((1, m)))
     with pytest.raises(ConfigError):
         select_codeword(h, corr, np.ones((1, m + 1)))
+    # factors of 3 users under 2 users' weights fail when built, not at the first
+    # selection with a bare broadcasting error
+    with pytest.raises(ConfigError, match="differ in users or length"):
+        Shaping(np.ones((1, 2, m)), np.eye(m)[None].repeat(3, 0))
     corr[0, :, 5] = 0.0
     corr[0, [2, m + 2], 5] = 1.0         # codeword 5 lives on antenna 2 only
     dark = np.ones((1, m))

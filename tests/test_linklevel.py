@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln, roots_genlaguerre
+from scipy.special import beta, gammaln, roots_genlaguerre
 from scipy.stats import gamma as gamma_dist
 
 from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec, ScenarioConfig,
@@ -21,7 +21,7 @@ from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec, ScenarioCon
                       run_monte_carlo, select_codeword, sum_rate, zf_precoder)
 from lensmimo import linklevel
 from lensmimo.cli import main, parse_config
-from lensmimo.linklevel import build_scenario_profiles
+from lensmimo.linklevel import ScenarioProfiles, build_scenario_profiles
 
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -31,23 +31,27 @@ def _draw(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _unit_power(f):
+    """Columns f_k / (sqrt(K) |f_k|): what the precoders return for columns F."""
+    return f / (np.sqrt(f.shape[-1]) * np.linalg.norm(f, axis=-2, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
 # precoders
 
 
 def test_zf_matches_gram_inverse_oracle():
-    """F = H^H (H H^H)^{-1} for a full-row-rank matrix."""
+    """F = H^H (H H^H)^{-1} for a full-row-rank matrix, power-normalized."""
     rng = np.random.default_rng(3)
     h = _draw(rng, (2, 4))
-    f = zf_precoder(h).columns
-    ref = h.conj().T @ np.linalg.inv(h @ h.conj().T)
-    assert np.allclose(f, ref, atol=1e-10)
+    ref = _unit_power(h.conj().T @ np.linalg.inv(h @ h.conj().T))
+    assert np.allclose(zf_precoder(h), ref, atol=1e-10)
 
 
 def test_zf_nulls_cross_channels():
     rng = np.random.default_rng(4)
     h = _draw(rng, (4, 16))
-    g = zf_precoder(h).normalized
+    g = zf_precoder(h)
     t = h @ g
     off = t - np.diag(np.diag(t))
     assert np.max(np.abs(off)) <= 1e-10 * np.max(np.abs(np.diag(t)))
@@ -56,8 +60,8 @@ def test_zf_nulls_cross_channels():
 def test_zf_single_user_matches_mrt_direction():
     rng = np.random.default_rng(5)
     h = _draw(rng, (1, 8))
-    g_zf = zf_precoder(h).normalized[:, 0]
-    g_mrt = mrt_precoder(h).normalized[:, 0]
+    g_zf = zf_precoder(h)[:, 0]
+    g_mrt = mrt_precoder(h)[:, 0]
     assert abs(abs(np.vdot(g_zf, g_mrt)) - np.linalg.norm(g_zf)
                * np.linalg.norm(g_mrt)) <= 1e-12
 
@@ -68,42 +72,44 @@ def test_zf_columns_equal_numpy_pinv():
     rng = np.random.default_rng(14)
     for shape in ((1, 8), (4, 64), (5, 16)):
         h = _draw(rng, shape)
-        ref = np.linalg.pinv(h)
+        ref = _unit_power(np.linalg.pinv(h))
         assert np.linalg.cond(h) < 10.0
-        assert np.linalg.norm(zf_precoder(h).columns - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(zf_precoder(h) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_ill_conditioned_zf_takes_the_svd_route_exactly():
     """A cond(H) = 1e8 matrix fails the Gram screen and equals pinv bit for bit,
-    also inside a stack of well-conditioned ones, which keep the Gram route."""
+    also inside a stack of well-conditioned ones, which keep the Gram route;
+    pinv's columns are normalized as the precoder normalizes its own."""
     rng = np.random.default_rng(15)
     q1, _ = np.linalg.qr(_draw(rng, (4, 4)))
     q2, _ = np.linalg.qr(_draw(rng, (16, 4)))
     bad = (q1 * np.array([1.0, 1e-2, 1e-5, 1e-8])) @ q2.conj().T
     assert np.linalg.cond(bad) == pytest.approx(1e8, rel=1e-6)
-    assert np.array_equal(zf_precoder(bad).columns, np.linalg.pinv(bad))
+    assert np.array_equal(zf_precoder(bad), linklevel._normalize(np.linalg.pinv(bad)))
     stack = _draw(rng, (3, 4, 16))
     stack[1] = bad
-    f = zf_precoder(stack).columns
-    assert np.array_equal(f[1], np.linalg.pinv(bad))
+    g = zf_precoder(stack)
+    assert np.array_equal(g[1], linklevel._normalize(np.linalg.pinv(bad)))
     for i in (0, 2):
-        assert np.array_equal(f[i], zf_precoder(stack[i]).columns)
-        assert not np.array_equal(f[i], np.linalg.pinv(stack[i]))
+        assert np.array_equal(g[i], zf_precoder(stack[i]))
+        assert not np.array_equal(g[i], linklevel._normalize(np.linalg.pinv(stack[i])))
 
 
 def test_exactly_singular_gram_takes_the_svd_route_alone():
     """Rows 2^-30 apart make H H^H exactly singular in float64 although
     cond(H) ~ 2e9 is under COND_LIMIT: that matrix takes the SVD, and the
-    other matrices of its stack keep the bits they have on their own."""
+    other matrices of its stack keep the bits they have on their own; pinv's
+    columns are normalized as the precoder normalizes its own."""
     h = np.zeros((2, 4), dtype=complex)
     h[:, 0] = 1.0
     h[1, 1] = 2.0 ** -30
     stack = _draw(np.random.default_rng(16), (3, 2, 4))
     stack[1] = h
-    f = zf_precoder(stack).columns
-    assert np.array_equal(f[1], np.linalg.pinv(h))
+    g = zf_precoder(stack)
+    assert np.array_equal(g[1], linklevel._normalize(np.linalg.pinv(h)))
     for i in (0, 2):
-        assert np.array_equal(f[i], zf_precoder(stack[i]).columns)
+        assert np.array_equal(g[i], zf_precoder(stack[i]))
 
 
 def test_zf_maps_svd_failure_to_domain_error():
@@ -124,7 +130,7 @@ def test_mrt_beamforming_gain():
     """|h_k^T g_k| = |h_k| / sqrt(K) when columns are matched."""
     rng = np.random.default_rng(7)
     h = _draw(rng, (3, 16))
-    g = mrt_precoder(h).normalized
+    g = mrt_precoder(h)
     for k in range(3):
         assert abs(h[k] @ g[:, k]) == pytest.approx(
             np.linalg.norm(h[k]) / np.sqrt(3.0), abs=1e-12)
@@ -143,8 +149,8 @@ def test_precoders_agree_for_orthogonal_rows():
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(_draw(rng, (8, 3)))
     h = q.T * np.array([[2.0], [0.5], [1.3]])      # orthogonal, unequal norms
-    g_zf = zf_precoder(h).normalized
-    g_mrt = mrt_precoder(h).normalized
+    g_zf = zf_precoder(h)
+    g_mrt = mrt_precoder(h)
     assert np.allclose(g_zf, g_mrt, atol=1e-12)
 
 
@@ -152,7 +158,7 @@ def test_power_budget_is_unity():
     rng = np.random.default_rng(9)
     h = _draw(rng, (4, 12))
     for prec in (zf_precoder, mrt_precoder):
-        g = prec(h).normalized
+        g = prec(h)
         assert np.sum(np.linalg.norm(g, axis=0) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -171,7 +177,7 @@ def test_zf_sinr_closed_form():
     h = _draw(rng, (3, 16))
     p_t = 10.0 ** (12.0 / 10.0)
     rows = h / np.linalg.norm(h, axis=1, keepdims=True)
-    sinr = received_sinr(h, zf_precoder(rows).normalized, p_t)
+    sinr = received_sinr(h, zf_precoder(rows), p_t)
     gram_inv = np.linalg.inv(h @ h.conj().T)
     ref = p_t / (3.0 * np.real(np.diag(gram_inv)))
     assert np.allclose(sinr, ref, rtol=1e-9)
@@ -180,7 +186,7 @@ def test_zf_sinr_closed_form():
 def test_zf_sinr_scales_linearly_with_power():
     rng = np.random.default_rng(12)
     h = _draw(rng, (3, 16))
-    g = zf_precoder(h).normalized
+    g = zf_precoder(h)
     s1 = received_sinr(h, g, 2.0)
     s10 = received_sinr(h, g, 20.0)
     assert np.allclose(s10, 10.0 * s1, rtol=1e-12)
@@ -189,7 +195,7 @@ def test_zf_sinr_scales_linearly_with_power():
 def test_single_user_sinr_is_beamforming_power():
     rng = np.random.default_rng(13)
     h = _draw(rng, (1, 8))
-    g = mrt_precoder(h).normalized
+    g = mrt_precoder(h)
     assert received_sinr(h, g, 5.0)[0] == pytest.approx(
         5.0 * np.linalg.norm(h) ** 2, rel=1e-12)
 
@@ -211,12 +217,10 @@ def test_stacked_calls_equal_single_calls(k):
     for precoder in (zf_precoder, mrt_precoder):
         stacked = precoder(h_hat)
         singles = [precoder(h) for h in h_hat]
-        assert np.array_equal(stacked.columns, np.stack([p.columns for p in singles]))
-        assert np.array_equal(stacked.normalized,
-                              np.stack([p.normalized for p in singles]))
-        sinrs = received_sinr(h_true, stacked.normalized, p_t[:, None])
+        assert np.array_equal(stacked, np.stack(singles))
+        sinrs = received_sinr(h_true, stacked, p_t[:, None])
         assert np.array_equal(sinrs, np.stack([
-            received_sinr(h, single.normalized, power)
+            received_sinr(h, single, power)
             for h, single, power in zip(h_true, singles, p_t)]))
         assert np.array_equal(sum_rate(sinrs), [sum_rate(s) for s in sinrs])
 
@@ -292,7 +296,9 @@ def test_scenario_validation():
 def test_scenario_without_lens_allows_plain_quantizers():
     cfg = ScenarioConfig(users=_two_users(), lens_enabled=False,
                          quantizers=("rvq", "rvq_corr", "full"))
-    assert build_scenario_profiles(cfg).channel is None
+    profiles = build_scenario_profiles(cfg)
+    assert np.array_equal(profiles.channel, np.ones((2, 64)))
+    assert profiles.codebook == {}
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +337,22 @@ def test_monte_carlo_trial_prefix_is_stable():
             assert np.array_equal(long.rates[combo][:, :5], short.rates[combo])
 
 
+def test_all_ones_channel_profile_pairs_with_the_lens_off_run():
+    """The lens enters a trial only as a weight on draws made before it, so the
+    four_user_downlink users with the lens on and an all-ones channel profile
+    give the lens-off run's rvq rates byte for byte: trial t of a lens-on and
+    a lens-off scenario sees the same numbers."""
+    cfg = dataclasses.replace(parse_config(str(SCENARIOS / "four_user_downlink.ini")),
+                              quantizers=("rvq",), trials=20)
+    k, m = cfg.num_users, cfg.array.num_antennas
+    assert cfg.lens_enabled
+    ones = run_monte_carlo(cfg, ScenarioProfiles(channel=np.ones((k, m)), codebook={}))
+    off = run_monte_carlo(dataclasses.replace(cfg, lens_enabled=False))
+    assert set(ones.rates) == set(off.rates) == {(p, "rvq") for p in cfg.precoders}
+    for c in off.rates:
+        assert ones.rates[c].tobytes() == off.rates[c].tobytes(), c
+
+
 def _cell_rng(cfg, ti):
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ti,)))
 
@@ -342,10 +364,7 @@ def _reference_cell_rates(cfg, profiles, factors, ti):
     k, m = cfg.num_users, cfg.array.num_antennas
     rng = _cell_rng(cfg, ti)
     h = np.stack([draw_channel(s, rng) for s in factors])
-    if profiles.channel is not None:
-        h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
-    else:
-        h_true = h
+    h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
     bases = [random_codebook(m, cfg.bits, rng) for _ in range(k)]
 
     out = {}
@@ -365,9 +384,9 @@ def _reference_cell_rates(cfg, profiles, factors, ti):
                 rows.append(select_codeword(h_true[u][None], bases[u], shaping)[0])
             h_hat = np.stack(rows)
         for prec in cfg.precoders:
-            p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
+            g = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
             out[(prec, token)] = np.array([
-                sum_rate(received_sinr(h_true, p.normalized, 10.0 ** (snr / 10.0)))
+                sum_rate(received_sinr(h_true, g, 10.0 ** (snr / 10.0)))
                 for snr in cfg.snr_db])
     return out
 
@@ -384,10 +403,7 @@ def _normalized_chain_cell(cfg, profiles, factors, ti):
     k, m, n = cfg.num_users, cfg.array.num_antennas, 2 ** cfg.bits
     rng = _cell_rng(cfg, ti)
     h = np.stack([draw_channel(s, rng) for s in factors])
-    if profiles.channel is not None:
-        h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
-    else:
-        h_true = h
+    h_true = np.stack([apply_lens(h[u], profiles.channel[u]) for u in range(k)])
     bases = [_unit_columns(_draw(rng, (m, n))) for _ in range(k)]
 
     chosen, rates = {}, {}
@@ -411,9 +427,9 @@ def _normalized_chain_cell(cfg, profiles, factors, ti):
             h_hat = np.stack(rows)
             chosen[token] = (h_hat, picks, books)
         for prec in cfg.precoders:
-            p = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
+            g = zf_precoder(h_hat) if prec == "zf" else mrt_precoder(h_hat)
             rates[(prec, token)] = [
-                sum_rate(received_sinr(h_true, p.normalized, 10.0 ** (snr / 10.0)))
+                sum_rate(received_sinr(h_true, g, 10.0 ** (snr / 10.0)))
                 for snr in cfg.snr_db]
     return chosen, rates
 
@@ -646,6 +662,24 @@ def test_single_user_rvq_matches_the_max_of_betas_law(m, bits):
                 for snr in cfg.snr_db]
     for prec in cfg.precoders:
         assert np.all(np.abs(_z_scores(res.rates[(prec, "rvq")], expected)) <= 4.0), prec
+
+
+def test_zf_rvq_rate_loss_stays_under_jindals_bound():
+    """K = M users, ZF on B-bit RVQ feedback: the mean loss against perfect
+    CSI is at most K log2(1 + (P/K)(K - 1) M/(M - 1) 2^B Beta(2^B, M/(M - 1)))
+    (Jindal, IEEE Trans. IT 2006), with 4 paired SE to spare at every SNR
+    point. The theorem assumes K = M; at K < M the signal term's law changes
+    with quantization and the gap can exceed the bound."""
+    m = k = 8
+    cfg = _iid_cfg(m, k, quantizers=("full", "rvq"), bits=8, trials=1000,
+                   snr_db=(0.0, 10.0, 20.0, 30.0))
+    res = run_monte_carlo(cfg)
+    gap = res.rates[("zf", "full")] - res.rates[("zf", "rvq")]
+    se = gap.std(axis=1, ddof=1) / np.sqrt(cfg.trials)
+    n = 2 ** cfg.bits
+    p_t = 10.0 ** (np.array(cfg.snr_db) / 10.0)
+    bound = k * np.log2(1.0 + p_t / k * (k - 1) * m / (m - 1) * n * beta(n, m / (m - 1)))
+    assert np.all(gap.mean(axis=1) + 4.0 * se <= bound)
 
 
 def test_monte_carlo_seed_changes_results():

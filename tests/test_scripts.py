@@ -1,4 +1,5 @@
-"""The runnable studies in scripts/ still run against the library."""
+"""The runnable studies in scripts/ and the README's examples still run
+against the library."""
 
 import os
 import pathlib
@@ -55,3 +56,13 @@ def test_run_scenarios_writes_every_pair_and_refuses_an_empty_directory(tmp_path
     assert proc.returncode == 2
     assert "no scenario files" in proc.stderr
     assert not (tmp_path / "none").exists()
+
+
+def test_readme_python_blocks_run():
+    """The README's Python blocks, run in order in one namespace as a reader
+    would paste them, so an API change cannot leave them broken."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
