@@ -6,7 +6,13 @@ Adapted from SciPy, Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
 Developers; BSD-3-Clause, text in LICENSES/SciPy-BSD-3-Clause.txt."""
 
 import numpy as np
-from numpy.linalg import norm
+
+
+def _norm(v, ord=None):
+    """np.linalg.norm(v, ord) of a real 1-D v, bit for bit, without its
+    dispatch; raveled as there, since BLAS ddot rounds differently at stride != 1."""
+    v = v.ravel()
+    return np.abs(v).max() if ord == np.inf else np.sqrt(v.dot(v))
 
 
 def trf_bounds(fun, jac, x0, lb, ub, max_nfev: int = 20000, tol: float = 1e-8):
@@ -24,8 +30,8 @@ def trf_bounds(fun, jac, x0, lb, ub, max_nfev: int = 20000, tol: float = 1e-8):
     while True:
         # Coleman-Li scaling: distance to the bound the anti-gradient points at
         v, dv = np.where(g < 0, ub - x, np.where(g > 0, x - lb, 1.0)), np.sign(g)
-        Delta = (norm(x / v**0.5) or 1.0) if Delta is None else Delta
-        g_norm = norm(g * v, ord=np.inf)
+        Delta = (_norm(x / v**0.5) or 1.0) if Delta is None else Delta
+        g_norm = _norm(g * v, ord=np.inf)
         if converged or g_norm < tol:
             return x, nfev
         if nfev == max_nfev:
@@ -42,14 +48,14 @@ def trf_bounds(fun, jac, x0, lb, ub, max_nfev: int = 20000, tol: float = 1e-8):
             # a step onto or past a bound stops one ulp short of it
             x_new = np.clip(x + step, np.nextafter(lb, ub), np.nextafter(ub, lb))
             f_new, nfev = fun(x_new), nfev + 1
-            step_h_norm, cost_new = norm(step_h), 0.5 * np.dot(f_new, f_new)
+            step_h_norm, cost_new = _norm(step_h), 0.5 * np.dot(f_new, f_new)
             actual_reduction = cost - cost_new
             ratio = (actual_reduction / predicted_reduction if predicted_reduction > 0
                      else float(predicted_reduction == actual_reduction == 0))
             Delta_new = (0.25 * step_h_norm if ratio < 0.25 else Delta * 2.0
                          if ratio > 0.75 and step_h_norm > 0.95 * Delta else Delta)
             converged = (actual_reduction < tol * cost and ratio > 0.25
-                         or norm(step) < tol * (tol + norm(x)))
+                         or _norm(step) < tol * (tol + _norm(x)))
             if converged:
                 break
             alpha *= Delta / Delta_new
@@ -81,7 +87,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
         r = r_h * d
     p, p_h = p * theta, p_h * theta
     p_value = sum(_quadratic_1d(J_h, g_h, p_h, diag_h))
-    ag_h, to_tr = -g_h, Delta / norm(g_h)
+    ag_h, to_tr = -g_h, Delta / _norm(g_h)
     to_bound = _step_to_bound(x, d * ag_h, lb, ub)[0]
     ag_stride, ag_value = _minimize_quadratic_1d(
         *_quadratic_1d(J_h, g_h, ag_h, diag_h), 0,
@@ -97,17 +103,17 @@ def _solve_lsq_trust_region(m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10):
     """More's search for alpha with |p| = Delta, from the SVD; uf = U^T f."""
     def phi_and_derivative(alpha):
         denom = s**2 + alpha
-        p_norm = norm(suf / denom)
+        p_norm = _norm(suf / denom)
         return p_norm - Delta, -np.sum(suf ** 2 / denom**3) / p_norm
     suf, alpha_lower = s * uf, 0.0
     full_rank = m >= s.size and s[-1] > np.finfo(float).eps * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
-        if norm(p) <= Delta:
+        if _norm(p) <= Delta:
             return p, 0.0
         phi, phi_prime = phi_and_derivative(0.0)
         alpha_lower = -phi / phi_prime
-    alpha_upper = norm(suf) / Delta
+    alpha_upper = _norm(suf) / Delta
     if not full_rank and alpha == 0:
         alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
     for _ in range(max_iter):
@@ -121,7 +127,7 @@ def _solve_lsq_trust_region(m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10):
         if np.abs(phi) < rtol * Delta:
             break
     p = -V.dot(suf / (s**2 + alpha))
-    return p * (Delta / norm(p)), alpha
+    return p * (Delta / _norm(p)), alpha
 
 
 def _quadratic_1d(J, g, s, diag, s0=None):

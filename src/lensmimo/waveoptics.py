@@ -12,6 +12,7 @@ and radians internally.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -150,6 +151,16 @@ def fresnel_transfer(grid: PropagationGrid, dz: float | np.ndarray) -> np.ndarra
     return np.exp(1j * KAPPA * dz) * np.exp(-1j * np.pi * dz * fx * fx)
 
 
+@functools.lru_cache(maxsize=4)
+def _one_plane_transfer(grid: PropagationGrid, dz: float) -> np.ndarray:
+    """propagate's read-only transfer to one plane, built once per grid and
+    distance so a sweep reuses it for every angle. A history builds its own
+    each call, a temporary freed before the inverse FFT."""
+    transfer = fresnel_transfer(grid, (dz * np.arange(2))[1:, None])
+    transfer.setflags(write=False)
+    return transfer
+
+
 def propagate(u0: np.ndarray, grid: PropagationGrid, steps: int,
               dz: float | None = None) -> FieldHistory:
     """Fields at the planes z = dz*i, i = 0..steps, behind the lens.
@@ -166,8 +177,8 @@ def propagate(u0: np.ndarray, grid: PropagationGrid, steps: int,
     zs = dz * np.arange(steps + 1)
     fields = np.empty((steps + 1, grid.num_samples), dtype=complex)
     fields[0] = u0
-    fields[1:] = np.fft.ifft(np.fft.fft(u0) * fresnel_transfer(grid, zs[1:, None]),
-                             axis=1)
+    fields[1:] = np.fft.ifft(np.fft.fft(u0) * (_one_plane_transfer(grid, dz) if steps == 1
+                             else fresnel_transfer(grid, zs[1:, None])), axis=1)
 
     # aperture-diffraction side lobes alone leave ~0.1% out there, so the
     # wraparound alarm only trips an order of magnitude above that

@@ -496,6 +496,18 @@ def test_pchip_matches_scipy():
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), kind
 
 
+@pytest.mark.parametrize("ord", [None, np.inf])
+def test_trf_norm_equals_numpy_norm_bit_for_bit(ord):
+    """The solver's norm against np.linalg.norm on contiguous and strided
+    vectors: BLAS ddot rounds differently at stride != 1, so both ravel."""
+    from lensmimo.numerics import _norm
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 5, 17, 64, 1001):
+        base = rng.normal(size=3 * n) * 10.0 ** rng.uniform(-8, 8, 3 * n)
+        for v in (base[:n], base[::3], base[1::2][:n], base[::-1][:n]):
+            assert _norm(v, ord).tobytes() == np.linalg.norm(v, ord).tobytes(), (n, ord)
+
+
 def test_fit_that_runs_out_of_evaluations_is_a_domain_error(lens, array, monkeypatch):
     from lensmimo import feedback
     monkeypatch.setattr(feedback, "trf_bounds", functools.partial(feedback.trf_bounds,

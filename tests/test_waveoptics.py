@@ -309,3 +309,30 @@ def test_profile_sum_invariant_any_angle_and_stride(aod, stride):
         a = antenna_power_profile(lens, grid, array, aod, stride=stride)
     assert a.sum() == pytest.approx(array.num_antennas, abs=1e-6)
     assert np.all(a >= 0.0)
+
+
+def test_one_plane_transfer_memo_is_invisible_and_bounded():
+    """Profiles swept over two interleaved grids and lens distances equal
+    a fresh transfer per call bit for bit, so a key collision fails here;
+    the memoized row is read-only, and a history adds nothing to the memo."""
+    from lensmimo.waveoptics import _one_plane_transfer
+    lens = LensSpec()
+    grids = (PropagationGrid(), PropagationGrid(dx=0.125, dz=0.5, window=64.0))
+    arrays = (ArraySpec(lens_distance=25.0), ArraySpec(lens_distance=20.0))
+    for aod in (-12.0, 0.0, 7.5):
+        for grid in grids:
+            for array in arrays:
+                u0 = lens_phase_profile(lens, grid, aod)
+                h = fresnel_transfer(grid, [[array.lens_distance]])
+                p = np.abs(np.fft.ifft(np.fft.fft(u0) * h)[0]) ** 2
+                want = extract_power_profile(p, grid, lens, array)
+                got = antenna_power_profile(lens, grid, array, aod)
+                assert got.tobytes() == want.tobytes(), (aod, grid, array)
+    row = _one_plane_transfer(grids[0], 25.0)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0, 0] = 0.0
+    size = _one_plane_transfer.cache_info().currsize
+    assert 1 <= size <= _one_plane_transfer.cache_info().maxsize
+    propagate(lens_phase_profile(lens, grids[1]), grids[1], 30)
+    assert _one_plane_transfer.cache_info().currsize == size
