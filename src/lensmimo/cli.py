@@ -72,11 +72,11 @@ def parse_config(path: str, require_users: bool = True) -> ScenarioConfig:
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"scenario file not found: {path}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     vals: dict[str, dict] = {}

@@ -3,7 +3,8 @@
 A table is `# key = value` header lines, an optional column line and CSV
 rows. The profile cache is one: a row per departure angle, a column per
 antenna, and a header naming every parameter it depends on plus their hash,
-which loaders check so a stale table is rebuilt, not silently reused.
+which the reader checks, refusing a stale table rather than silently
+reusing it.
 """
 
 from __future__ import annotations

@@ -178,6 +178,22 @@ def test_exit_code_for_bad_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lens-profile", "bpm-field", "simulate",
+                                     "fit-gaussian"])
+def test_undecodable_scenario_is_a_config_error(tmp_path, capsys, command):
+    """A scenario file that is not UTF-8 exits 2 naming the file, with no
+    traceback and no output."""
+    p = tmp_path / "bad.ini"
+    p.write_bytes(b"[users]\nangles = -10, \xff10\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(p), "--out-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {p}: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _small_ini(path, edits):
     """A two-user, 16-antenna, two-trial scenario file with edits applied."""
     sections = {"users": {"angles": "-10, 10"}, "array": {"num_antennas": "16"},
