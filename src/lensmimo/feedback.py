@@ -217,15 +217,14 @@ def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
 
 def gaussian_profile(theta_deg: float, model: GaussianProfileModel) -> np.ndarray:
     """Evaluate the fitted spot model at one angle within its anchors and
-    renormalize to sum M."""
+    renormalize to sum M, which cancels the amplitude p: only q and r are read."""
     lo, hi = model.anchors_deg[0], model.anchors_deg[-1]
     if not lo <= theta_deg <= hi:
         raise DomainError(f"angle {theta_deg} deg is outside the fitted span [{lo}, {hi}]")
-    pv, qv, rv = (pchip(model.anchors_deg, vals, theta_deg)
-                  for vals in (model.p, model.q, model.r))
-    if pv <= 0 or rv <= 0:
+    qv, rv = (pchip(model.anchors_deg, vals, theta_deg) for vals in (model.q, model.r))
+    if rv <= 0:
         raise DomainError(f"interpolated spot parameters degenerate at {theta_deg} deg")
-    a = _gauss(antenna_coordinates(model.lens, model.array), pv, qv, rv)
+    a = _gauss(antenna_coordinates(model.lens, model.array), 1.0, qv, rv)
     total = a.sum()
     if total <= 0:
         raise DomainError("gaussian profile evaluated to zero everywhere")

@@ -12,6 +12,7 @@ writes through profile_cache.write_tables.
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -106,6 +107,9 @@ class ScenarioConfig:
             raise ConfigError("bits must be between 1 and 16")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        if (self.name in ("", ".", "..") or not self.name.isprintable()
+                or os.path.basename(self.name) != self.name):
+            raise ConfigError(f"scenario name {self.name!r} is not a plain file name")
         for snr in self.snr_db:
             try:
                 p_t = 10.0 ** (float(snr) / 10.0)
@@ -329,37 +333,31 @@ class SimResult:
     rates: dict[tuple[str, str], np.ndarray]   # (num_snr, trials)
 
 
-def _fill_cell(cfg: ScenarioConfig, factors: np.ndarray, lens_roots: np.ndarray,
-               full: list[int], rows: list[int], shaping: Shaping | None,
-               h_true: np.ndarray, h_hat: np.ndarray, ti: int) -> None:
-    """Draw trial ti into h_true (K, M) and h_hat (quantizers, K, M).
+def _trial_span(cfg: ScenarioConfig, plan: tuple, lo: int, hi: int) -> np.ndarray:
+    """Sum rates (precoders, quantizers, snr, hi - lo) of trials lo..hi-1 under
+    run_monte_carlo's plan (factors, lens roots, full rows, selected rows, Shaping).
 
-    The substream is keyed by the trial index alone, and every SNR point is
-    evaluated on the same draws, so a trial's rates depend on the seed and
-    its index only; the K channels are drawn before the K codebooks so every
-    quantizer sees the same realizations. One select_codeword call serves
-    the quantizer rows but full: rvq scores the draws, and rvq_corr and every
-    mvcq token share one S W.
+    Trial ti draws from the substream keyed by ti alone, its K channels before
+    its K codebooks so every quantizer sees the same realizations, and feeds
+    back every selected row from one select_codeword call. The span is precoded
+    as one stack per precoder and rated at every SNR point with no numpy
+    warning. A precoder failure names the first SNR point; a non-finite rate
+    names the span's first such cell in (snr, trial, quantizer, precoder) order.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(ti,)))
-    h_true[:] = h = lens_roots * draw_channel(factors, rng)
-    bases = random_codebook(cfg.array.num_antennas, cfg.bits, rng, cfg.num_users)
-    if full:
-        h_hat[full] = h / np.linalg.norm(h, axis=1, keepdims=True)
-    if rows:
-        h_hat[rows] = select_codeword(h, bases, shaping)
+    factors, lens_roots, full, rows, shaping = plan
+    k, m, n = cfg.num_users, cfg.array.num_antennas, hi - lo
+    h_true = np.empty((n, k, m), dtype=complex)
+    h_hat = np.empty((n, len(cfg.quantizers), k, m), dtype=complex)
+    for c in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(lo + c,)))
+        h_true[c] = h = lens_roots * draw_channel(factors, rng)
+        if full:
+            h_hat[c, full] = h / np.linalg.norm(h, axis=1, keepdims=True)
+        if rows:
+            h_hat[c, rows] = select_codeword(h, random_codebook(m, cfg.bits, rng, k), shaping)
 
-
-def _precode_block(cfg: ScenarioConfig, h_true: np.ndarray, h_hat: np.ndarray,
-                   first: int) -> np.ndarray:
-    """Sum rates (snr, trials, quantizers, precoders) of the trials from index
-    first on: one precoder, SINR and sum-rate call per precoder, the SINR
-    broadcast over the SNR grid, with no numpy warning. A precoder failure does
-    not depend on the SNR and names the first SNR point; a non-finite rate names
-    the block's first such cell in (snr, trial, quantizer, precoder) order."""
     def context(si: int, c: int, q: int) -> str:
-        return (f"(quantizer {cfg.quantizers[q]}, snr {cfg.snr_db[si]} dB, "
-                f"trial {first + c})")
+        return f"(quantizer {cfg.quantizers[q]}, snr {cfg.snr_db[si]} dB, trial {lo + c})"
 
     p_t = np.array([10.0 ** (s / 10.0) for s in cfg.snr_db])[:, None, None, None]
     precoders = [zf_precoder if p == "zf" else mrt_precoder for p in cfg.precoders]
@@ -380,7 +378,7 @@ def _precode_block(cfg: ScenarioConfig, h_true: np.ndarray, h_hat: np.ndarray,
         si, c, q, i = np.argwhere(~np.isfinite(rates))[0]
         raise DomainError(f"precoder {cfg.precoders[i]} gave a non-finite sum rate "
                           f"{context(si, c, q)}")
-    return rates
+    return rates.transpose(3, 2, 0, 1)
 
 
 def run_monte_carlo(cfg: ScenarioConfig,
@@ -391,7 +389,8 @@ def run_monte_carlo(cfg: ScenarioConfig,
     SNR: each trial draws, quantizes and precodes once from its own derived
     substream, and every SNR point is evaluated on it. A trial's rates depend
     on the seed and its index only, so an SNR point's results do not depend on
-    the rest of the grid, the trial count or the order trials run in.
+    the rest of the grid, the trial count or the split of the trials into
+    spans of at most BLOCK_MATRICES matrices.
     """
     if profiles is None:
         profiles = build_scenario_profiles(cfg)
@@ -408,20 +407,13 @@ def run_monte_carlo(cfg: ScenarioConfig,
     if rows:
         roots = np.stack([apply_lens(ones, profiles.codebook[t]) if t in profiles.codebook
                           else ones for t in (cfg.quantizers[q] for q in rows)])
-        shaping = Shaping(roots[0] if len(rows) == 1 else roots, factors if shaped else None,
-                          len(plain))
+        shaping = Shaping(roots, factors if shaped else None, len(plain))
+    plan = (factors, lens_roots, full, rows, shaping)
     n_snr, n_tr = len(cfg.snr_db), cfg.trials
-    per_block = max(1, BLOCK_MATRICES // len(kinds))
-    h_true = np.empty((per_block, k, m), dtype=complex)
-    h_hat = np.empty((per_block, len(kinds), k, m), dtype=complex)
+    per_span = max(1, BLOCK_MATRICES // len(kinds))
     out = np.empty((len(cfg.precoders), len(kinds), n_snr, n_tr))
-    for first in range(0, n_tr, per_block):
-        n = min(per_block, n_tr - first)
-        for c in range(n):
-            _fill_cell(cfg, factors, lens_roots, full, rows, shaping, h_true[c], h_hat[c],
-                       first + c)
-        out[..., first:first + n] = _precode_block(
-            cfg, h_true[:n], h_hat[:n], first).transpose(3, 2, 0, 1)
+    for lo in range(0, n_tr, per_span):
+        out[..., lo:lo + per_span] = _trial_span(cfg, plan, lo, min(lo + per_span, n_tr))
     rates = {(p, t): out[i, q]
              for i, p in enumerate(cfg.precoders) for q, t in enumerate(cfg.quantizers)}
     mean = {c: r.mean(axis=1) for c, r in rates.items()}

@@ -194,6 +194,24 @@ def test_undecodable_scenario_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["../escaped", "sub/x", "foo\n    bar", ""],
+                         ids=["parent_dir", "sub_dir", "continuation_line", "empty"])
+def test_scenario_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    """The name goes into every output file name and the header, so one that
+    leaves --out-dir, names a subdirectory, spans lines (a configparser
+    continuation) or is empty exits 2, with no traceback and nothing written
+    in the out-dir or its parent."""
+    p = _small_ini(tmp_path / "named.ini", {"scenario": {"name": name}})
+    parent = tmp_path / "escdir"
+    parent.mkdir()
+    rc = main(["simulate", "--config", str(p), "--out-dir", str(parent / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "is not a plain file name" in err
+    assert "Traceback" not in err
+    assert list(parent.iterdir()) == []
+
+
 def _small_ini(path, edits):
     """A two-user, 16-antenna, two-trial scenario file with edits applied."""
     sections = {"users": {"angles": "-10, 10"}, "array": {"num_antennas": "16"},
@@ -277,8 +295,8 @@ def test_non_finite_correlation_fails_before_any_cell(tmp_path, capsys,
     """sigma^2 overflows: exit 3 at set-up, naming the spread, with no
     numpy warning, no Monte-Carlo cell drawn and nothing written."""
     def no_cell(*args):
-        raise AssertionError("a Monte-Carlo cell ran")
-    monkeypatch.setattr(linklevel, "_fill_cell", no_cell)
+        raise AssertionError("a Monte-Carlo trial was drawn")
+    monkeypatch.setattr(linklevel, "draw_channel", no_cell)
     p = _small_ini(tmp_path / "wide.ini", {"scenario": {"precoders": precoder},
                                             "users": {"sigma": "1e200"}})
     out = tmp_path / "out"
@@ -338,8 +356,8 @@ def test_oversized_scenarios_exit_config(tmp_path, capsys, monkeypatch, scenario
     buffer limit is a configuration error, raised before the kernel
     allocates anything (these would need 1.6 TB, 13 PB and 268 MB)."""
     def no_cell(*args):
-        raise AssertionError("a Monte-Carlo cell ran")
-    monkeypatch.setattr(linklevel, "_fill_cell", no_cell)
+        raise AssertionError("a Monte-Carlo trial was drawn")
+    monkeypatch.setattr(linklevel, "draw_channel", no_cell)
     text = (ROOT / "scenarios" / scenario).read_text()
     assert old in text
     p = tmp_path / scenario

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import pathlib
 import warnings
 from unittest import mock
@@ -548,19 +549,35 @@ def test_rates_do_not_depend_on_the_block_layout(block, trials, quantizers):
     matrix and its SVD fallback all work matrix by matrix. Every third trial's
     fed-back users are made nearly collinear (cond(H) ~ 1e7), so its matrices
     take the SVD fallback inside blocks that also hold Gram-route ones."""
-    fill = linklevel._fill_cell
+    # the lens weights user u's draw by sqrt(a_u), so user 1's draw is rescaled
+    # for the full rows, the weighted channels, to be near-collinear too
+    channel = _layout_profiles().channel
+    ratio = np.sqrt(channel[0] / channel[1])
 
-    def near_collinear(*args):
-        fill(*args)
-        h_hat, ti = args[-2:]
-        if ti % 3 == 1:
-            h_hat[:, 1] = h_hat[:, 0] + 1e-7 * h_hat[:, 1]
+    def near_collinear_draws(trials):
+        def draw(factors, rng):
+            d = draw_channel(factors, rng)
+            if next(trials) % 3 == 1:
+                d[1] = ratio * d[0] + 1e-7 * d[1]
+            return d
+        return draw
+
+    def near_collinear_rows(trials):
+        def select(h, w, shaping=None):
+            rows = select_codeword(h, w, shaping)
+            if next(trials) % 3 == 1:
+                rows[:, 1] = rows[:, 0] + 1e-7 * rows[:, 1]
+            return rows
+        return select
     cfg = _small_cfg(lens_enabled=True, quantizers=tuple(quantizers), bits=3,
                      trials=trials)
     runs = []
     for size in (32, block):
         with mock.patch.object(linklevel, "BLOCK_MATRICES", size), \
-                mock.patch.object(linklevel, "_fill_cell", near_collinear):
+                mock.patch.object(linklevel, "draw_channel",
+                                  near_collinear_draws(itertools.count())), \
+                mock.patch.object(linklevel, "select_codeword",
+                                  near_collinear_rows(itertools.count())):
             runs.append(run_monte_carlo(cfg, _layout_profiles()).rates)
     for c in runs[0]:
         assert runs[0][c].tobytes() == runs[1][c].tobytes(), c
@@ -727,9 +744,9 @@ def test_zf_failure_in_a_later_block_names_its_trial(monkeypatch):
     def fail_from_bad(h, w, root_a=None):
         rows, trial = select_codeword(h, w, root_a), next(calls)
         if trial == bad:
-            rows[1] = rows[0]
+            rows[0, 1] = rows[0, 0]
         elif trial == bad + 1:
-            rows[0] = 0.0
+            rows[0, 0] = 0.0
         return rows
     monkeypatch.setattr(linklevel, "select_codeword", fail_from_bad)
     with pytest.raises(DomainError, match=r"users 0 and 1 have near-collinear "
@@ -749,7 +766,7 @@ def test_zf_failure_names_the_first_snr_point(monkeypatch):
     def collinear_at_bad(h, w, root_a=None):
         rows = select_codeword(h, w, root_a)
         if next(calls) == bad:
-            rows[1] = rows[0]
+            rows[0, 1] = rows[0, 0]
         return rows
     monkeypatch.setattr(linklevel, "select_codeword", collinear_at_bad)
     with pytest.raises(DomainError, match=r"near-collinear directions "
