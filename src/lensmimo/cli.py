@@ -200,7 +200,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args, require_users=True)
     profile_at = None
     if cfg.lens_enabled and args.no_build:
-        profile_at = _cached_table(cfg, args).lookup
+        profile_at = _cached_table(cfg, args).row
     profiles = linklevel.build_scenario_profiles(cfg, profile_at)
     result = linklevel.run_monte_carlo(cfg, profiles)
 

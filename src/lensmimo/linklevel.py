@@ -24,14 +24,14 @@ from .channel import (UserConfig, apply_lens, correlation_matrix, draw_channel,
 from .errors import ConfigError, DomainError, LensMimoError
 from .feedback import (GaussianProfileModel, Shaping, fit_gaussian_model,
                        gaussian_profile, random_codebook, select_codeword)
-from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
+from .waveoptics import (SECTOR_DEG, ArraySpec, LensSpec, PropagationGrid,
+                         antenna_power_profile)
 
 COND_LIMIT = 1e12
 GRAM_SCREEN = 1e4 ** 2   # ZF by Gram matrix up to cond(H) = 1e4, erring ~cond(H)^2 u
 BLOCK_MATRICES = 32    # (K, M) matrices precoded at once: ~1 MB at K = 4, M = 64
 # the largest array a scenario may make the kernel allocate: 2^24 floats, 128 MB
 MAX_BUFFER_VALUES = 2 ** 24
-SECTOR_DEG = 30.0
 # angles the Gaussian spot model is fitted at: five-degree steps across the sector
 GAUSSIAN_ANCHORS_DEG = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 5.0)
 
@@ -125,6 +125,8 @@ class ScenarioConfig:
                     f"[-{SECTOR_DEG:g}, {SECTOR_DEG:g}] deg sector")
         for label, tokens in (("precoder", self.precoders),
                               ("quantizer", self.quantizers)):
+            if not tokens:
+                raise ConfigError(f"{label} list is empty")
             for t in tokens:
                 if tokens.count(t) > 1:
                     raise ConfigError(f"{label} '{t}' is listed more than once")

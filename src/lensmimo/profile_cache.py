@@ -18,11 +18,11 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .waveoptics import ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
+from .waveoptics import (SECTOR_DEG, ArraySpec, LensSpec, PropagationGrid,
+                         antenna_power_profile)
 
-DEFAULT_SWEEP_DEG = (-30.0, 30.0, 0.5)
-# widest angle gap a lookup bridges: the default sweep's step
-MAX_GAP_DEG = 0.5
+# the departure angles lens-profile sweeps: the user sector in half-degree steps
+SWEEP_DEG = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 0.5)
 
 
 def cache_params(lens: LensSpec, grid: PropagationGrid, array: ArraySpec) -> dict:
@@ -50,7 +50,7 @@ def params_digest(params: dict) -> str:
 
 @dataclass
 class ProfileTable:
-    """Swept profiles with nearest-angle lookup."""
+    """Swept profiles, served only at their own angles."""
 
     aods_deg: np.ndarray        # (n,) sorted
     profiles: np.ndarray        # (n, M)
@@ -70,29 +70,21 @@ class ProfileTable:
             return f"a row that does not sum to M = {m}"
         return None
 
-    def lookup(self, aod_deg: float) -> np.ndarray:
-        """Profile at the nearest swept angle, refusing gaps beyond MAX_GAP_DEG."""
-        i = int(np.argmin(np.abs(self.aods_deg - aod_deg)))
-        gap = abs(float(self.aods_deg[i]) - aod_deg)
-        if gap > MAX_GAP_DEG:
-            raise DomainError(
-                f"no cached profile within {MAX_GAP_DEG} deg of {aod_deg} deg "
-                f"(nearest swept angle is {self.aods_deg[i]} deg)")
-        return self.profiles[i]
+    def row(self, aod_deg: float) -> np.ndarray:
+        """Profile swept at exactly aod_deg; any other angle is refused."""
+        hit = np.flatnonzero(self.aods_deg == aod_deg)
+        if not hit.size:
+            raise ConfigError(f"the profile cache has no row at {aod_deg} deg, only the "
+                              "swept angles; drop --no-build to propagate it")
+        return self.profiles[hit[0]]
 
 
-def build_profile_table(lens: LensSpec, grid: PropagationGrid, array: ArraySpec,
-                        aods_deg: np.ndarray | None = None) -> ProfileTable:
-    """Propagate every departure angle (default -30..30 deg, 0.5 deg) to the array."""
-    if aods_deg is None:
-        lo, hi, step = DEFAULT_SWEEP_DEG
-        n = int(round((hi - lo) / step)) + 1
-        aods_deg = lo + step * np.arange(n)
-    aods_deg = np.asarray(aods_deg, dtype=float)
-    profiles = np.empty((aods_deg.size, array.num_antennas))
-    for i, aod in enumerate(aods_deg):
-        profiles[i] = antenna_power_profile(lens, grid, array, float(aod))
-    return ProfileTable(aods_deg=aods_deg, profiles=profiles,
+def build_profile_table(lens: LensSpec, grid: PropagationGrid,
+                        array: ArraySpec) -> ProfileTable:
+    """Propagate every departure angle of SWEEP_DEG to the array."""
+    profiles = np.stack([antenna_power_profile(lens, grid, array, float(aod))
+                         for aod in SWEEP_DEG])
+    return ProfileTable(aods_deg=SWEEP_DEG.copy(), profiles=profiles,
                         params=cache_params(lens, grid, array))
 
 

@@ -24,6 +24,8 @@ from .errors import ConfigError, DomainError
 KAPPA = 2.0 * np.pi
 # transverse sample limit: one complex field row stays within 16 MB
 MAX_SAMPLES = 2 ** 20
+# half-width of the user sector, degrees: every user, swept angle and spot anchor
+SECTOR_DEG = 30.0
 
 
 def _positive(value: float) -> bool:

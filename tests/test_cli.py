@@ -272,12 +272,14 @@ def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
     ({"scenario": {"lens": "off", "quantizers": "rvq"},
       "lens": {"focal_length": "-5"}}, (), EXIT_CONFIG),
     ({"scenario": {"quantizers": "rvq, rvq"}}, (), EXIT_CONFIG),
+    ({"scenario": {"quantizers": ""}}, (), EXIT_CONFIG),
+    ({"scenario": {"precoders": ""}}, (), EXIT_CONFIG),
     ({}, ("--seed", "-1"), EXIT_CONFIG),
     # sigma^2 overflows, so the correlation diagonal is inf * 0 = nan
     ({"scenario": {"precoders": "mrt"}, "users": {"sigma": "1e200"}}, (),
      EXIT_DOMAIN),
 ], ids=["snr_overflow", "empty_grid", "bad_lens_while_off", "repeated_quantizer",
-        "negative_seed", "nan_rates"])
+        "empty_quantizers", "empty_precoders", "negative_seed", "nan_rates"])
 def test_rejected_input_writes_nothing(tmp_path, capsys, edits, extra, code):
     p = _small_ini(tmp_path / "rejected.ini", edits)
     out = tmp_path / "out"
@@ -497,17 +499,35 @@ def test_no_build_requires_the_cache(ini_dir, tmp_path, capsys):
     assert "lens-profile" in capsys.readouterr().err
 
 
-def test_no_build_serves_cached_profiles(ini_dir, cache_dir, tmp_path):
-    out = tmp_path / "cached"
-    rc = main(["simulate", "--config", str(ini_dir / "small.ini"),
-               "--out-dir", str(out), "--cache-dir", str(cache_dir),
-               "--no-build", "--threads", "1"])
-    assert rc == EXIT_OK
-    fresh = tmp_path / "fresh"
-    _run_simulate(ini_dir, fresh)
-    # swept angles land exactly on the users, so results match the direct run
-    assert (out / "unit_comparison.csv").read_bytes() == \
-        (fresh / "unit_comparison.csv").read_bytes()
+def test_no_build_serves_cached_profiles(cache_dir, tmp_path):
+    """The users and the spot model's anchors lie on swept rows, so every CSV
+    read from the cache equals the propagated run's byte for byte."""
+    for i, quantizers in enumerate(("mvcq, rvq", "mvcq, mvcq:gaussian, rvq")):
+        p = tmp_path / f"served{i}.ini"
+        p.write_text(SMALL.replace("quantizers = mvcq, rvq", f"quantizers = {quantizers}"))
+        outs = {}
+        for mode, extra in (("cached", ["--no-build"]), ("fresh", [])):
+            outs[mode] = tmp_path / f"{mode}{i}"
+            rc = main(["simulate", "--config", str(p), "--out-dir", str(outs[mode]),
+                       "--cache-dir", str(cache_dir), "--threads", "1", *extra])
+            assert rc == EXIT_OK
+        csvs = {f.name: f.read_bytes() for f in outs["fresh"].iterdir()}
+        assert len(csvs) == 1 + 2 * len(quantizers.split(","))
+        assert {f.name: f.read_bytes() for f in outs["cached"].iterdir()} == csvs
+
+
+def test_no_build_refuses_an_angle_between_swept_rows(cache_dir, tmp_path, capsys):
+    """A 10.3 deg user is not served the 10.5 deg row: exit 2, naming the
+    angle, with nothing written."""
+    p = tmp_path / "off_grid.ini"
+    p.write_text(SMALL.replace("angles = -10, 10", "angles = -10, 10.3"))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(p), "--out-dir", str(out),
+               "--cache-dir", str(cache_dir), "--no-build"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "no row at 10.3 deg" in err and "drop --no-build" in err
+    assert not out.exists()
 
 
 def test_no_build_rejects_coarse_step_sources(ini_dir, cache_dir, tmp_path, capsys):

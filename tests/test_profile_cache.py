@@ -5,18 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lensmimo import ConfigError, DomainError, PropagationGrid
+from lensmimo import ConfigError, DomainError
 from lensmimo.cli import main
-from lensmimo.profile_cache import (ProfileTable, build_profile_table,
+from lensmimo.linklevel import GAUSSIAN_ANCHORS_DEG
+from lensmimo.profile_cache import (SWEEP_DEG, ProfileTable, build_profile_table,
                                     cache_params, params_digest,
                                     read_profile_table, write_profile_table,
                                     write_tables)
+from lensmimo.waveoptics import SECTOR_DEG
 
 
 @pytest.fixture(scope="module")
 def table(lens, grid, array):
-    return build_profile_table(lens, grid, array,
-                               aods_deg=np.array([-10.0, -2.5, 0.0, 2.5, 10.0]))
+    return build_profile_table(lens, grid, array)
 
 
 def test_round_trip_preserves_everything(tmp_path, table):
@@ -79,19 +80,27 @@ def test_empty_file_rejected(tmp_path):
         read_profile_table(path)
 
 
-def test_lookup_nearest_and_gap(table):
-    assert np.array_equal(table.lookup(2.4), table.profiles[3])
-    assert np.array_equal(table.lookup(0.0), table.profiles[2])
-    with pytest.raises(DomainError, match="nearest swept angle"):
-        table.lookup(5.5)          # 2.5 deg from the closest entry
+def test_row_serves_only_swept_angles(table):
+    assert np.array_equal(table.row(2.5), table.profiles[65])
+    assert np.array_equal(table.row(-0.0), table.profiles[60])
+    for off_grid in (2.4, 10.3, 2.5 + 1e-12):
+        with pytest.raises(ConfigError, match=rf"no row at {off_grid!r} deg.*"
+                                              "drop --no-build"):
+            table.row(off_grid)
 
 
-def test_sector_edges_build_cleanly(lens, array):
-    # the full half-degree sweep lives in the CLI path; the edges suffice here
-    tab = build_profile_table(lens, PropagationGrid(), array,
-                              aods_deg=np.array([-30.0, 0.0, 30.0]))
-    assert tab.profiles.shape == (3, array.num_antennas)
-    assert np.allclose(tab.profiles.sum(axis=1), array.num_antennas, atol=1e-6)
+def test_sector_edges_build_cleanly(table, array):
+    assert table.profiles.shape == (121, array.num_antennas)
+    assert table.aods_deg[0] == -SECTOR_DEG and table.aods_deg[-1] == SECTOR_DEG
+    assert np.allclose(table.profiles.sum(axis=1), array.num_antennas, atol=1e-6)
+
+
+def test_gaussian_anchors_lie_on_the_sweep():
+    """--no-build serves mvcq:gaussian only if every anchor is a swept row."""
+    assert np.isin(GAUSSIAN_ANCHORS_DEG, SWEEP_DEG).all()
+    assert np.array_equal(SWEEP_DEG, -30.0 + 0.5 * np.arange(121))
+    for angles in (GAUSSIAN_ANCHORS_DEG, SWEEP_DEG):
+        assert angles.min() == -SECTOR_DEG and angles.max() == SECTOR_DEG
 
 
 def test_cache_parse_equals_per_token_floats(tmp_path):
