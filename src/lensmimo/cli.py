@@ -164,8 +164,9 @@ def cmd_bpm_field(args: argparse.Namespace) -> int:
     inten = np.abs(hist.fields) ** 2 / np.abs(hist.fields[0]).max() ** 2
     params = profile_cache.cache_params(lens, grid, array)
     del params["ell"]          # the history runs to 1.5 f whatever the array distance
+    aod = f"{args.aod:g}" if float(f"{args.aod:g}") == args.aod else repr(args.aod)
     path = os.path.join(args.out_dir, f"field_{profile_cache.params_digest(params)}"
-                                      f"_aod{args.aod:g}_steps{steps}.csv")
+                                      f"_aod{aod}_steps{steps}.csv")
     header = [("focal_length", lens.focal_length), ("aperture", lens.aperture),
               ("num_antennas", array.num_antennas), ("dx", grid.dx), ("dz", grid.dz),
               ("window", grid.window), ("aod_deg", args.aod),

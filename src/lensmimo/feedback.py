@@ -173,13 +173,13 @@ def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
                        array: ArraySpec) -> GaussianProfileModel:
     """Least-squares 1-Gaussian fit per anchor angle, interpolated across angle.
 
-    Needs at least five anchors spanning the sector. Each profile is fit in
+    Needs at least three anchors, PCHIP's minimum. Each profile is fit in
     physical antenna-plane coordinates; anchors whose RMS residual exceeds
     20% of the profile peak are flagged (the spot is no longer unimodal
     enough for the model to be trusted there).
     """
-    if len(profiles) < 5:
-        raise ConfigError("gaussian fit needs at least five anchor angles")
+    if len(profiles) < 3:
+        raise ConfigError("gaussian fit needs at least three anchor angles")
     y = antenna_coordinates(lens, array)
     anchors = np.array(sorted(profiles))
     p = np.empty(anchors.size)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -36,40 +37,24 @@ MAX_BUFFER_VALUES = 2 ** 24
 GAUSSIAN_ANCHORS_DEG = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 5.0)
 
 PRECODER_TOKENS = ("zf", "mrt")
-QUANTIZER_KINDS = ("full", "rvq", "rvq_corr", "mvcq")
-MVCQ_SOURCES = ("bpm", "gaussian", "sub_bpm")
 
 
 def parse_quantizer(token: str) -> tuple[str, str, int]:
     """Split a quantizer token into (kind, profile source, stride).
 
-    Tokens: full | rvq | rvq_corr | mvcq[:source[:stride]] with source in
-    {bpm, gaussian, sub_bpm}; sub_bpm requires a stride, e.g. mvcq:sub_bpm:10.
+    Tokens: full | rvq | rvq_corr | mvcq[:bpm | :gaussian | :sub_bpm:<stride>],
+    where mvcq alone takes the bpm source and a stride is a positive integer
+    in ASCII digits with no leading zero.
     """
-    parts = token.split(":")
-    kind = parts[0]
-    if kind not in QUANTIZER_KINDS:
-        raise ConfigError(f"unknown quantizer '{token}'")
-    if kind != "mvcq":
-        if len(parts) > 1:
-            raise ConfigError(f"quantizer '{kind}' takes no profile source")
-        return kind, "", 1
-    source = parts[1] if len(parts) > 1 else "bpm"
-    if source not in MVCQ_SOURCES:
-        raise ConfigError(f"unknown profile source '{source}' in '{token}'")
-    stride = 1
-    if source == "sub_bpm":
-        if len(parts) < 3:
-            raise ConfigError(f"'{token}' needs a stride, e.g. mvcq:sub_bpm:10")
-        try:
-            stride = int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"stride in '{token}' is not an integer") from exc
-        if stride < 1:
-            raise ConfigError("stride must be a positive integer")
-    elif len(parts) > 2:
-        raise ConfigError(f"unexpected extra field in quantizer '{token}'")
-    return kind, source, stride
+    match = re.fullmatch(
+        r"(full|rvq|rvq_corr)|mvcq(?::(bpm|gaussian)|:(sub_bpm):([1-9][0-9]*))?", token)
+    if match is None:
+        raise ConfigError(f"unknown quantizer '{token}': expected full, rvq, rvq_corr, "
+                          "mvcq, mvcq:bpm, mvcq:gaussian or mvcq:sub_bpm:<stride>")
+    plain, source, sub_bpm, stride = match.groups()
+    if plain:
+        return plain, "", 1
+    return "mvcq", source or sub_bpm or "bpm", int(stride or 1)
 
 
 @dataclass(frozen=True)
@@ -123,18 +108,19 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"user angle {u.angle_deg} deg is outside the "
                     f"[-{SECTOR_DEG:g}, {SECTOR_DEG:g}] deg sector")
-        for label, tokens in (("precoder", self.precoders),
-                              ("quantizer", self.quantizers)):
+        parsed = [parse_quantizer(q) for q in self.quantizers]
+        for label, tokens, keys in (("precoder", self.precoders, self.precoders),
+                                    ("quantizer", self.quantizers, parsed)):
             if not tokens:
                 raise ConfigError(f"{label} list is empty")
-            for t in tokens:
-                if tokens.count(t) > 1:
-                    raise ConfigError(f"{label} '{t}' is listed more than once")
+            for i, key in enumerate(keys):
+                if (j := keys.index(key)) < i:
+                    also = "" if tokens[j] == tokens[i] else f" (also as '{tokens[j]}')"
+                    raise ConfigError(f"{label} '{tokens[i]}' is listed more than once{also}")
         for p in self.precoders:
             if p not in PRECODER_TOKENS:
                 raise ConfigError(f"unknown precoder '{p}'")
-        for q in self.quantizers:
-            kind, _, _ = parse_quantizer(q)
+        for q, (kind, _, _) in zip(self.quantizers, parsed):
             if kind == "mvcq" and not self.lens_enabled:
                 raise ConfigError(
                     f"quantizer '{q}' needs the lens enabled (it carries the "
@@ -272,8 +258,8 @@ def fit_sector_model(profile_at: Callable[[float], np.ndarray], lens: LensSpec,
     """Fit the Gaussian spot model to profile_at(angle) at the sector anchors.
 
     Given angles, only the anchors PCHIP reads there are fitted: anchors
-    i-1..i+2 around each angle's interval [x_i, x_i+1], widened to at least
-    five, which gives the whole-sector model's values at those angles exactly.
+    i-1..i+2 around each angle's interval [x_i, x_i+1], clipped to the
+    sector, which give the whole-sector model's values there exactly.
     """
     anchors = GAUSSIAN_ANCHORS_DEG
     if angles_deg is not None:
@@ -281,9 +267,6 @@ def fit_sector_model(profile_at: Callable[[float], np.ndarray], lens: LensSpec,
         i = np.clip(np.searchsorted(anchors, angles_deg, side="right") - 1, 0, n - 2)
         keep = np.zeros(n, dtype=bool)
         keep[np.clip(np.add.outer(i, np.arange(-1, 3)), 0, n - 1)] = True
-        while keep.sum() < 5:
-            lo, hi = np.flatnonzero(keep)[[0, -1]]
-            keep[max(lo - 1, 0):hi + 2] = True
         anchors = anchors[keep]
     return fit_gaussian_model({float(a): profile_at(float(a)) for a in anchors},
                               lens, array)

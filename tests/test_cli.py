@@ -272,6 +272,8 @@ def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
     ({"scenario": {"lens": "off", "quantizers": "rvq"},
       "lens": {"focal_length": "-5"}}, (), EXIT_CONFIG),
     ({"scenario": {"quantizers": "rvq, rvq"}}, (), EXIT_CONFIG),
+    ({"scenario": {"quantizers": "mvcq, mvcq:bpm"}}, (), EXIT_CONFIG),
+    ({"scenario": {"quantizers": "rvq, mvcq:sub_bpm:10:junk"}}, (), EXIT_CONFIG),
     ({"scenario": {"quantizers": ""}}, (), EXIT_CONFIG),
     ({"scenario": {"precoders": ""}}, (), EXIT_CONFIG),
     ({}, ("--seed", "-1"), EXIT_CONFIG),
@@ -279,7 +281,8 @@ def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
     ({"scenario": {"precoders": "mrt"}, "users": {"sigma": "1e200"}}, (),
      EXIT_DOMAIN),
 ], ids=["snr_overflow", "empty_grid", "bad_lens_while_off", "repeated_quantizer",
-        "empty_quantizers", "empty_precoders", "negative_seed", "nan_rates"])
+        "quantizer_respelled", "quantizer_extra_field", "empty_quantizers",
+        "empty_precoders", "negative_seed", "nan_rates"])
 def test_rejected_input_writes_nothing(tmp_path, capsys, edits, extra, code):
     p = _small_ini(tmp_path / "rejected.ini", edits)
     out = tmp_path / "out"
@@ -441,6 +444,31 @@ def test_simulate_seed_override(ini_dir, tmp_path):
         (other / "unit_comparison.csv").read_bytes()
     assert (other / "unit_comparison.csv").read_bytes() == \
         (again / "unit_comparison.csv").read_bytes()
+
+
+def test_ten_db_alone_writes_the_full_grids_ten_db_rows(tmp_path):
+    """Every SNR point is evaluated on the same trials, so four_user_downlink
+    run at 10 dB alone writes the full grid's 10 dB rows byte for byte."""
+    text = (ROOT / "scenarios" / "four_user_downlink.ini").read_text()
+    text = re.sub(r"(?m)^trials = .*", "trials = 20", text)
+    rows = {}
+    for label, ini_text in (("full", text),
+                            ("single", re.sub(r"(?m)^snr_db = .*", "snr_db = 10", text))):
+        ini, out = tmp_path / f"{label}.ini", tmp_path / label
+        ini.write_text(ini_text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(ini), "--out-dir", str(out)]) == EXIT_OK
+        rows[label] = {}
+        for path in sorted(out.glob("four_user_downlink_*_*.csv")):
+            if path.name.endswith("_comparison.csv"):
+                continue
+            lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+            assert lines[0] == "snr_db,mean_sum_rate,stderr,trials"
+            rows[label][path.name] = [ln for ln in lines[1:]
+                                      if float(ln.split(",")[0]) == 10.0]
+    assert len(rows["single"]) == 4
+    assert all(len(r) == 1 for r in rows["single"].values())
+    assert rows["single"] == rows["full"]
 
 
 def test_failed_set_write_keeps_every_old_csv(ini_dir, tmp_path, capsys):
@@ -869,6 +897,24 @@ def test_bpm_field_names_its_dump_by_steps_not_lens_distance(tmp_path):
     assert written["base"][0].endswith("_steps10.csv")
     assert written["longer"][0].endswith("_steps20.csv")
     assert written["farther"] == written["base"]
+
+
+@pytest.mark.filterwarnings("ignore:intensity peak lies on the final plane")
+def test_bpm_field_names_close_angles_apart(tmp_path):
+    """Angles equal to six significant digits write two dumps, each named
+    by the angle its header records."""
+    ini = _small_ini(tmp_path / "close.ini", {"grid": {"dx": "0.25", "window": "80"}})
+    out = tmp_path / "out"
+    for aod in ("12.3456789", "12.345678"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["bpm-field", "--config", str(ini), "--out-dir", str(out),
+                         "--aod", aod, "--steps", "10"]) == EXIT_OK
+    named = {}
+    for path in out.glob("field_*.csv"):
+        [header] = [ln for ln in path.read_text().splitlines()
+                    if ln.startswith("# aod_deg = ")]
+        named[re.search(r"_aod(.+)_steps", path.name).group(1)] = header[len("# aod_deg = "):]
+    assert named == {"12.3456789": "12.3456789", "12.345678": "12.345678"}
 
 
 def test_fit_gaussian_writes_parameter_table(ini_dir, tmp_path):

@@ -377,11 +377,14 @@ def test_gaussian_jacobian_matches_central_differences(lens, array):
             assert np.allclose(jac[:, j], num, rtol=0, atol=1e-6 * scale), (prm, j)
 
 
-def test_fit_requires_five_anchors(lens, array):
+def test_fit_requires_three_anchors(lens, array):
+    """PCHIP needs three anchors, so two are refused and three are fitted."""
     y = np.linspace(-10, 10, array.num_antennas)
     profiles = {a: _gauss(y, 3.0, 0.0, 2.0) for a in (-5.0, 0.0, 5.0)}
-    with pytest.raises(ConfigError):
-        fit_gaussian_model(profiles, lens, array)
+    with pytest.raises(ConfigError, match="at least three"):
+        fit_gaussian_model({a: profiles[a] for a in (-5.0, 0.0)}, lens, array)
+    assert np.array_equal(fit_gaussian_model(profiles, lens, array).anchors_deg,
+                          [-5.0, 0.0, 5.0])
 
 
 def test_fit_on_propagated_profiles(lens, grid, array, profile_set):

@@ -247,13 +247,18 @@ def test_parse_quantizer_tokens():
     assert parse_quantizer("rvq") == ("rvq", "", 1)
     assert parse_quantizer("rvq_corr") == ("rvq_corr", "", 1)
     assert parse_quantizer("mvcq") == ("mvcq", "bpm", 1)
+    assert parse_quantizer("mvcq:bpm") == ("mvcq", "bpm", 1)
     assert parse_quantizer("mvcq:gaussian") == ("mvcq", "gaussian", 1)
     assert parse_quantizer("mvcq:sub_bpm:10") == ("mvcq", "sub_bpm", 10)
+    assert parse_quantizer("mvcq:sub_bpm:1") == ("mvcq", "sub_bpm", 1)
+    assert parse_quantizer("mvcq:sub_bpm:123") == ("mvcq", "sub_bpm", 123)
 
 
 @pytest.mark.parametrize("token", [
     "zf", "mvcq:foo", "mvcq:sub_bpm", "mvcq:sub_bpm:x", "mvcq:sub_bpm:0",
-    "mvcq:gaussian:3", "rvq:bpm", "full:bpm",
+    "mvcq:gaussian:3", "rvq:bpm", "full:bpm", "mvcq:sub_bpm:10:junk",
+    "mvcq:sub_bpm: 5", "mvcq:sub_bpm:1_0", "mvcq:sub_bpm:+5", "mvcq:sub_bpm:010",
+    "mvcq:sub_bpm:\u0665",
 ])
 def test_parse_quantizer_rejects(token):
     with pytest.raises(ConfigError):
@@ -840,14 +845,14 @@ def test_gaussian_profiles_need_only_the_stencil_anchors(focal, grid, array):
             assert np.array_equal(row, gaussian_profile(a, full)), (a, angles)
 
 
-def test_sector_model_fits_at_least_five_anchors_around_the_angles(lens, array):
+def test_sector_model_fits_the_pchip_stencil_around_the_angles(lens, array):
     """Each angle keeps anchors i-1..i+2 around its interval, clipped to the
-    sector; a span under five anchors widens by one on each side."""
+    sector, and nothing more: three anchors at either edge."""
     def spot(aod):
         return np.exp(-((np.arange(64) - 32.0 - aod) / 6.0) ** 2)
 
-    fitted = {(0.0,): [-10, -5, 0, 5, 10, 15], (30.0,): [10, 15, 20, 25, 30],
-              (-30.0,): [-30, -25, -20, -15, -10], (-2.5, 2.5): [-10, -5, 0, 5, 10],
+    fitted = {(0.0,): [-5, 0, 5, 10], (30.0,): [20, 25, 30],
+              (-30.0,): [-30, -25, -20], (-2.5, 2.5): [-10, -5, 0, 5, 10],
               (-22.0, 22.0): [-30, -25, -20, -15, 15, 20, 25, 30]}
     for angles, anchors in fitted.items():
         model = linklevel.fit_sector_model(spot, lens, array, angles)
