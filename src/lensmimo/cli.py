@@ -123,24 +123,16 @@ def parse_config(path: str, require_users: bool = True) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load(args: argparse.Namespace, require_users: bool) -> ScenarioConfig:
-    cfg = parse_config(args.config, require_users=require_users)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _cache_path(args: argparse.Namespace, params: dict) -> str:
-    return os.path.join(args.cache_dir,
-                        f"profiles_{profile_cache.params_digest(params)}.csv")
+def _cache_path(directory: str, params: dict) -> str:
+    return os.path.join(directory, f"profiles_{profile_cache.params_digest(params)}.csv")
 
 
 def cmd_lens_profile(args: argparse.Namespace) -> int:
     """Sweep departure angles and write the power-profile table."""
-    cfg = _load(args, require_users=False)
+    cfg = parse_config(args.config, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
     table = profile_cache.build_profile_table(lens, grid, array)
-    path = _cache_path(args, table.params)
+    path = _cache_path(args.out_dir, table.params)
     profile_cache.write_profile_table(path, table)
     print(f"wrote {table.aods_deg.size} profiles to {path}")
     return EXIT_OK
@@ -148,7 +140,7 @@ def cmd_lens_profile(args: argparse.Namespace) -> int:
 
 def cmd_bpm_field(args: argparse.Namespace) -> int:
     """Propagate one incidence angle and dump the intensity history."""
-    cfg = _load(args, require_users=False)
+    cfg = parse_config(args.config, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
     steps = args.steps
     if steps is None:
@@ -179,8 +171,7 @@ def cmd_bpm_field(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cached_table(cfg: ScenarioConfig, args: argparse.Namespace
-                  ) -> profile_cache.ProfileTable:
+def _cached_table(cfg: ScenarioConfig, cache_dir: str) -> profile_cache.ProfileTable:
     """The swept table --no-build serves the scenario's profiles from."""
     for token in cfg.quantizers:
         if linklevel.parse_quantizer(token)[1] == "sub_bpm":
@@ -188,7 +179,7 @@ def _cached_table(cfg: ScenarioConfig, args: argparse.Namespace
                 f"quantizer '{token}' needs a fresh coarse-step run and cannot "
                 "be served from the cache; drop --no-build")
     params = profile_cache.cache_params(cfg.lens, cfg.grid, cfg.array)
-    path = _cache_path(args, params)
+    path = _cache_path(cache_dir, params)
     if not os.path.exists(path):
         raise ConfigError(
             f"--no-build is set but the profile cache {path} is missing; "
@@ -198,10 +189,15 @@ def _cached_table(cfg: ScenarioConfig, args: argparse.Namespace
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run the Monte Carlo and write one CSV per precoder/quantizer pair."""
-    cfg = _load(args, require_users=True)
+    if args.threads < 1:
+        raise ConfigError("threads must be at least 1")
+    cfg = parse_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)    # re-runs ScenarioConfig's checks
     profile_at = None
     if cfg.lens_enabled and args.no_build:
-        profile_at = _cached_table(cfg, args).row
+        cache_dir = args.out_dir if args.cache_dir is None else args.cache_dir
+        profile_at = _cached_table(cfg, cache_dir).row
     profiles = linklevel.build_scenario_profiles(cfg, profile_at)
     result = linklevel.run_monte_carlo(cfg, profiles)
 
@@ -225,7 +221,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_fit_gaussian(args: argparse.Namespace) -> int:
     """Fit the spot model at the anchor angles and write the parameter table."""
-    cfg = _load(args, require_users=False)
+    cfg = parse_config(args.config, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
     model = linklevel.fit_sector_model(
         partial(waveoptics.antenna_power_profile, lens, grid, array), lens, array)
@@ -251,42 +247,37 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="scenario file (INI)")
-    common.add_argument("--out-dir", default=".", help="directory for outputs")
-    common.add_argument("--cache-dir", default=None,
-                        help="directory for caches (default: out-dir)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="has no effect; kept so existing command lines "
-                             "still parse (the Monte Carlo runs in one thread)")
-    common.add_argument("--no-build", action="store_true",
-                        help="fail instead of computing missing caches")
-
     parser = argparse.ArgumentParser(
         prog="lensmimo",
         description="lens-array downlink simulator: wave optics to sum rates")
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
     for name, (_, help_text) in _COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        if name == "bpm-field":
-            sp.add_argument("--aod", type=float, default=0.0,
-                            help="angle of departure, degrees")
-            sp.add_argument("--steps", type=int, default=None,
-                            help="axial steps (default: 1.5 focal lengths)")
+        sp = subs[name] = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", required=True, help="scenario file (INI)")
+        sp.add_argument("--out-dir", default=".", help="directory for outputs")
+    subs["bpm-field"].add_argument("--aod", type=float, default=0.0,
+                                   help="angle of departure, degrees, in (-90, 90)")
+    subs["bpm-field"].add_argument("--steps", type=int, default=None,
+                                   help="axial steps (default: 1.5 focal lengths)")
+    sim = subs["simulate"]
+    sim.add_argument("--cache-dir", default=None,
+                     help="directory of the lens-profile table (default: out-dir)")
+    sim.add_argument("--seed", type=int, default=None,
+                     help="override the scenario seed")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="has no effect; kept so existing command lines "
+                          "still parse (the Monte Carlo runs in one thread)")
+    sim.add_argument("--no-build", action="store_true",
+                     help="serve the profiles from the lens-profile table in "
+                          "--cache-dir; refuse if it is missing or has no row "
+                          "at an angle")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.cache_dir is None:
-        args.cache_dir = args.out_dir
     try:
-        if args.threads < 1:
-            raise ConfigError("threads must be at least 1")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("seed override must be nonnegative")
         return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

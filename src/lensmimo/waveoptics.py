@@ -123,8 +123,8 @@ def lens_phase_profile(lens: LensSpec, grid: PropagationGrid,
     incident tilt, hard-truncated at the aperture stop. The constant bulk
     phase of the dielectric is dropped (it cancels in every intensity).
     """
-    if not np.isfinite(aod_deg):
-        raise ConfigError(f"departure angle {aod_deg} deg is not finite")
+    if not abs(aod_deg) < 90.0:     # sin is one-to-one on (-90, 90) deg
+        raise ConfigError(f"departure angle {aod_deg} deg is not finite or not in (-90, 90)")
     if grid.window < 2.0 * lens.aperture:
         raise ConfigError(
             f"window {grid.window} must be at least twice the aperture "

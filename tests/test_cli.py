@@ -115,6 +115,17 @@ def test_unknown_names_are_rejected_with_location(tmp_path):
     p.write_text("[users]\nangles = 0\n[array]\nnum_antennas = sixty\n")
     with pytest.raises(ConfigError, match=r"\[array\] num_antennas"):
         parse_config(str(p))
+    p.write_text("[users]\nangles = 0\n[scenario]\nlens = maybe\n")
+    with pytest.raises(ConfigError, match=r"\[scenario\] lens: cannot parse 'maybe'"):
+        parse_config(str(p))
+
+
+def test_lens_switch_reads_on_off_words(tmp_path):
+    """[scenario] lens takes on/true/yes/1 and off/false/no/0, in any case."""
+    p = tmp_path / "switch.ini"
+    for raw, enabled in (("Yes", True), ("0", False)):
+        _small_ini(p, {"scenario": {"lens": raw, "quantizers": "rvq"}})
+        assert parse_config(str(p)).lens_enabled is enabled
 
 
 HEADER_KEYS = ["scenario", "num_antennas", "num_users", "user_angles_deg",
@@ -277,12 +288,13 @@ def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
     ({"scenario": {"quantizers": ""}}, (), EXIT_CONFIG),
     ({"scenario": {"precoders": ""}}, (), EXIT_CONFIG),
     ({}, ("--seed", "-1"), EXIT_CONFIG),
+    ({"simulation": {"seed": "-1"}}, (), EXIT_CONFIG),
     # sigma^2 overflows, so the correlation diagonal is inf * 0 = nan
     ({"scenario": {"precoders": "mrt"}, "users": {"sigma": "1e200"}}, (),
      EXIT_DOMAIN),
 ], ids=["snr_overflow", "empty_grid", "bad_lens_while_off", "repeated_quantizer",
         "quantizer_respelled", "quantizer_extra_field", "empty_quantizers",
-        "empty_precoders", "negative_seed", "nan_rates"])
+        "empty_precoders", "negative_seed", "negative_seed_in_file", "nan_rates"])
 def test_rejected_input_writes_nothing(tmp_path, capsys, edits, extra, code):
     p = _small_ini(tmp_path / "rejected.ini", edits)
     out = tmp_path / "out"
@@ -381,6 +393,25 @@ def test_exit_code_for_thread_count_below_one(ini_dir, tmp_path, capsys):
                "--out-dir", str(tmp_path), "--threads", "0"])
     assert rc == EXIT_CONFIG
     assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lens-profile", "bpm-field", "fit-gaussian"])
+@pytest.mark.parametrize("option", [("--cache-dir", "x"), ("--seed", "1"),
+                                    ("--threads", "1"), ("--no-build",)],
+                         ids=["cache_dir", "seed", "threads", "no_build"])
+def test_optics_commands_refuse_simulate_options(ini_dir, tmp_path, capsys,
+                                                 monkeypatch, command, option):
+    """The optics commands take only the options they read: a simulate
+    option is a usage error (exit 2, no traceback, nothing written)."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(ini_dir / "small.ini"), "--out-dir", "out",
+              *option])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_for_domain_failure(tmp_path, capsys):
@@ -494,7 +525,7 @@ def test_failed_set_write_keeps_every_old_csv(ini_dir, tmp_path, capsys):
 def cache_dir(ini_dir, tmp_path_factory):
     d = tmp_path_factory.mktemp("cache")
     rc = main(["lens-profile", "--config", str(ini_dir / "small.ini"),
-               "--cache-dir", str(d)])
+               "--out-dir", str(d)])
     assert rc == EXIT_OK
     return d
 
@@ -514,7 +545,7 @@ def test_lens_profile_sweeps_the_sector(cache_dir):
 
 def test_lens_profile_rerun_byte_identical(ini_dir, cache_dir, tmp_path):
     rc = main(["lens-profile", "--config", str(ini_dir / "small.ini"),
-               "--cache-dir", str(tmp_path)])
+               "--out-dir", str(tmp_path)])
     assert rc == EXIT_OK
     name = next(cache_dir.glob("profiles_*.csv")).name
     assert (tmp_path / name).read_bytes() == (cache_dir / name).read_bytes()
@@ -631,7 +662,7 @@ def test_lens_profile_refuses_rows_shorter_than_the_header_m(ini_dir, tmp_path,
 
     monkeypatch.setattr(profile_cache, "build_profile_table", eight_antenna_rows)
     rc = main(["lens-profile", "--config", str(ini_dir / "small.ini"),
-               "--cache-dir", str(tmp_path)])
+               "--out-dir", str(tmp_path)])
     assert rc == EXIT_DOMAIN
     err = capsys.readouterr().err
     assert "refusing to cache a profile table with rows of 8 antennas" in err
@@ -644,7 +675,7 @@ def test_non_finite_profile_is_not_cached(ini_dir, tmp_path, capsys, monkeypatch
                         lambda lens, grid, array, aod: np.full(array.num_antennas,
                                                                np.nan))
     rc = main(["lens-profile", "--config", str(ini_dir / "small.ini"),
-               "--cache-dir", str(tmp_path)])
+               "--out-dir", str(tmp_path)])
     assert rc == EXIT_DOMAIN
     assert "non-finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -662,7 +693,7 @@ def test_profile_breaking_the_post_condition_is_not_cached(ini_dir, tmp_path,
     monkeypatch.setattr(profile_cache, "antenna_power_profile",
                         lambda lens, grid, array, aod: profile(array.num_antennas))
     rc = main(["lens-profile", "--config", str(ini_dir / "small.ini"),
-               "--cache-dir", str(tmp_path)])
+               "--out-dir", str(tmp_path)])
     assert rc == EXIT_DOMAIN
     assert "refusing to cache" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -672,7 +703,7 @@ def test_failed_rewrite_keeps_the_old_cache(ini_dir, tmp_path, capsys, monkeypat
     """A write that fails partway leaves the previous cache byte for byte
     and no temporary file."""
     argv = ["lens-profile", "--config", str(ini_dir / "small.ini"),
-            "--cache-dir", str(tmp_path)]
+            "--out-dir", str(tmp_path)]
     assert main(argv) == EXIT_OK
     [cache] = tmp_path.iterdir()
     before = cache.read_bytes()
@@ -917,6 +948,31 @@ def test_bpm_field_names_close_angles_apart(tmp_path):
     assert named == {"12.3456789": "12.3456789", "12.345678": "12.345678"}
 
 
+@pytest.mark.parametrize("aod", ["95", "90", "-90", "1e10"])
+def test_bpm_field_refuses_an_angle_outside_the_half_plane(tmp_path, capsys, aod):
+    """The tilt enters as sin(aod), one-to-one only on (-90, 90) deg, so 95
+    deg would write 85 deg's rows under its own name: exit 2, naming the
+    angle, with nothing written."""
+    out = tmp_path / "out"
+    rc = main(["bpm-field", "--config", str(_small_ini(tmp_path / "s.ini", {})),
+               "--out-dir", str(out), "--aod", aod, "--steps", "10"])
+    assert rc == EXIT_CONFIG
+    assert f"departure angle {float(aod)} deg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lens-profile", "bpm-field", "fit-gaussian"])
+def test_optics_commands_run_on_a_lens_only_file(tmp_path, command):
+    """A scenario file with no [users] section, the shape the optics
+    benchmark writes, runs every optics command."""
+    ini = tmp_path / "focal30.ini"
+    ini.write_text("[lens]\nfocal_length = 30\n")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", str(ini), "--out-dir", str(out)]) == EXIT_OK
+    assert len(list(out.glob("*.csv"))) == 1
+
+
 def test_fit_gaussian_writes_parameter_table(ini_dir, tmp_path):
     rc = main(["fit-gaussian", "--config", str(ini_dir / "small.ini"),
                "--out-dir", str(tmp_path)])
@@ -993,7 +1049,7 @@ sys.modules["scipy"] = None          # any import of scipy or its submodules now
 from lensmimo.cli import main
 ini, gaussian, out = sys.argv[1:]
 print(json.dumps([main([*argv, "--out-dir", out]) for argv in (
-    ["lens-profile", "--config", ini, "--cache-dir", out],
+    ["lens-profile", "--config", ini],
     ["bpm-field", "--config", ini],
     ["simulate", "--config", ini, "--cache-dir", out, "--no-build"],
     ["fit-gaussian", "--config", ini],

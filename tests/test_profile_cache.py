@@ -107,7 +107,7 @@ def test_cache_parse_equals_per_token_floats(tmp_path):
     """The one numpy parse of a real lens-profile cache gives the same table
     as float() applied token by token."""
     ini = Path(__file__).resolve().parents[1] / "scenarios" / "four_user_downlink.ini"
-    assert main(["lens-profile", "--config", str(ini), "--cache-dir", str(tmp_path)]) == 0
+    assert main(["lens-profile", "--config", str(ini), "--out-dir", str(tmp_path)]) == 0
     path = next(tmp_path.glob("profiles_*.csv"))
     ref = np.asarray([[float(tok) for tok in line.split(",")]
                       for line in path.read_text().splitlines()
