@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from lensmimo import (ArraySpec, LensSpec, PropagationGrid,
-                      antenna_power_profile, fit_sector_model, gaussian_profile)
+                      antenna_power_profile, fit_gaussian_model, gaussian_profile)
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     lens, grid, array = LensSpec(), PropagationGrid(), ArraySpec()
     profile_at = partial(antenna_power_profile, lens, grid, array)
     exact = profile_at(args.aod)
-    model = fit_sector_model(profile_at, lens, array)
+    model = fit_gaussian_model(profile_at, lens, array)
 
     rows = [("gaussian fit", gaussian_profile(args.aod, model))]
     with warnings.catch_warnings():

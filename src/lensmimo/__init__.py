@@ -11,8 +11,8 @@ from .errors import ConfigError, DomainError, LensMimoError
 from .feedback import (GaussianProfileModel, Shaping, fit_gaussian_model,
                        gaussian_profile, random_codebook, real_block, select_codeword)
 from .linklevel import (ScenarioConfig, SimResult, build_scenario_profiles,
-                        fit_sector_model, mrt_precoder, parse_quantizer,
-                        received_sinr, run_monte_carlo, sum_rate, zf_precoder)
+                        mrt_precoder, parse_quantizer, received_sinr,
+                        run_monte_carlo, sum_rate, zf_precoder)
 from .profile_cache import ProfileTable, build_profile_table
 from .waveoptics import (ArraySpec, FieldHistory, LensSpec, PropagationGrid,
                          antenna_power_profile, extract_power_profile,

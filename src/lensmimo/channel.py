@@ -75,10 +75,7 @@ def matrix_sqrt(r: np.ndarray) -> np.ndarray:
     clamped to zero.
     """
     r = np.asarray(r)
-    scale = np.linalg.norm(r)
-    if scale == 0:
-        return np.zeros_like(r)
-    if np.linalg.norm(r - r.conj().T) > 1e-10 * scale:
+    if np.linalg.norm(r - r.conj().T) > 1e-10 * np.linalg.norm(r):
         raise DomainError("matrix_sqrt needs a Hermitian input")
     w, v = np.linalg.eigh(r)
     w = np.clip(w, 0.0, None)

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import linklevel, profile_cache, waveoptics
+from . import feedback, linklevel, profile_cache, waveoptics
 from .channel import UserConfig
 from .errors import ConfigError, DomainError
 from .linklevel import ScenarioConfig
@@ -223,7 +223,7 @@ def cmd_fit_gaussian(args: argparse.Namespace) -> int:
     """Fit the spot model at the anchor angles and write the parameter table."""
     cfg = parse_config(args.config, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
-    model = linklevel.fit_sector_model(
+    model = feedback.fit_gaussian_model(
         partial(waveoptics.antenna_power_profile, lens, grid, array), lens, array)
 
     params = profile_cache.cache_params(lens, grid, array)

@@ -4,20 +4,27 @@ Codebook stacks are (users, 2m, 2^bits) real [Re; Im] blocks of random draws
 (RVQ), shaped by the correlation square root and weighted by the lens power
 profile (MVCQ); each user feeds back the codeword with the largest |h^H w| /
 |w|, the only one ever normalized. Also the cheap profile estimator: a
-Gaussian model of the focused spot, fitted to propagated profiles and
-interpolated across angle.
+Gaussian model of the focused spot, fitted to a profile source at the sector
+anchors and interpolated across angle.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .numerics import pchip, trf_bounds
-from .waveoptics import ArraySpec, LensSpec
+from .waveoptics import SECTOR_DEG, ArraySpec, LensSpec
+
+# angles the Gaussian spot model is fitted at: five-degree steps across the sector
+GAUSSIAN_ANCHORS_DEG = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 5.0)
+# RMS fit residual, as a fraction of the profile peak, above which an anchor's
+# spot is no longer unimodal enough for the model to be trusted there
+POOR_FIT = 0.2
 
 
 def random_codebook(m: int, bits: int, rng: np.random.Generator,
@@ -156,7 +163,7 @@ class GaussianProfileModel:
     angle, for the lens and array they were fitted to.
 
     residual_rms holds the per-anchor fit residual (RMS, as a fraction of the
-    profile peak); poor_fit flags anchors where that exceeds 20%.
+    profile peak); poor_fit flags anchors where that exceeds POOR_FIT.
     """
 
     anchors_deg: np.ndarray
@@ -164,36 +171,48 @@ class GaussianProfileModel:
     q: np.ndarray
     r: np.ndarray
     residual_rms: np.ndarray
-    poor_fit: np.ndarray
     lens: LensSpec
     array: ArraySpec
 
+    @property
+    def poor_fit(self) -> np.ndarray:
+        return self.residual_rms > POOR_FIT
 
-def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
-                       array: ArraySpec) -> GaussianProfileModel:
-    """Least-squares 1-Gaussian fit per anchor angle, interpolated across angle.
 
-    Needs at least three anchors, PCHIP's minimum. Each profile is fit in
-    physical antenna-plane coordinates; anchors whose RMS residual exceeds
-    20% of the profile peak are flagged (the spot is no longer unimodal
-    enough for the model to be trusted there).
+def fit_gaussian_model(profile_at: Callable[[float], np.ndarray], lens: LensSpec,
+                       array: ArraySpec, angles_deg: Sequence[float] | None = None
+                       ) -> GaussianProfileModel:
+    """Least-squares 1-Gaussian fit to profile_at(angle) at the sector anchors,
+    interpolated across angle by PCHIP.
+
+    Given angles, only the anchors PCHIP reads there are fitted: anchors
+    i-1..i+2 around each angle's interval [x_i, x_i+1], clipped to the
+    sector, which give the whole-sector model's values there exactly. No
+    angle at all would leave fewer than PCHIP's three anchors and is refused.
+    profile_at is called once per fitted anchor, in ascending order, and each
+    profile is fit in physical antenna-plane coordinates. A warning names the
+    anchors whose RMS residual exceeds POOR_FIT of the profile peak.
     """
-    if len(profiles) < 3:
-        raise ConfigError("gaussian fit needs at least three anchor angles")
+    anchors = GAUSSIAN_ANCHORS_DEG.copy()    # the model owns its anchors
+    if angles_deg is not None:
+        if len(angles_deg) == 0:
+            raise ConfigError("gaussian fit needs at least one angle to fit around")
+        n = anchors.size
+        i = np.clip(np.searchsorted(anchors, angles_deg, side="right") - 1, 0, n - 2)
+        keep = np.zeros(n, dtype=bool)
+        keep[np.clip(np.add.outer(i, np.arange(-1, 3)), 0, n - 1)] = True
+        anchors = anchors[keep]
     y = antenna_coordinates(lens, array)
-    anchors = np.array(sorted(profiles))
+    cell = lens.aperture / array.num_antennas
     p = np.empty(anchors.size)
     q = np.empty(anchors.size)
     r = np.empty(anchors.size)
     resid = np.empty(anchors.size)
     for i, ang in enumerate(anchors):
-        a = np.asarray(profiles[float(ang)], dtype=float)
-        if a.shape[0] != array.num_antennas:
-            raise ConfigError("profile length and antenna count differ")
+        a = np.asarray(profile_at(float(ang)), dtype=float)
         peak = a.max()
         if not peak > 0:
             raise DomainError(f"profile at {ang} deg carries no power")
-        cell = lens.aperture / array.num_antennas
         p0 = (peak, y[int(np.argmax(a))], lens.aperture / 10.0)
         # bounded so clipped spots at the sector edge stay solvable instead
         # of sending the center or width to infinity
@@ -206,13 +225,13 @@ def fit_gaussian_model(profiles: dict[float, np.ndarray], lens: LensSpec,
             raise DomainError(f"gaussian fit failed at {ang} deg: {exc}") from exc
         p[i], q[i], r[i] = popt
         resid[i] = np.sqrt(np.mean((_gauss(y, *popt) - a) ** 2)) / peak
-    poor = resid > 0.2
-    if np.any(poor):
-        bad = ", ".join(f"{ang:g}" for ang in anchors[poor])
-        warnings.warn(f"gaussian fit is poor (residual > 20% of peak) at "
+    model = GaussianProfileModel(anchors_deg=anchors, p=p, q=q, r=r, residual_rms=resid,
+                                 lens=lens, array=array)
+    if model.poor_fit.any():
+        bad = ", ".join(f"{ang:g}" for ang in anchors[model.poor_fit])
+        warnings.warn(f"gaussian fit is poor (residual > {POOR_FIT:.0%} of peak) at "
                       f"angles [{bad}] deg", stacklevel=2)
-    return GaussianProfileModel(anchors_deg=anchors, p=p, q=q, r=r, residual_rms=resid,
-                                poor_fit=poor, lens=lens, array=array)
+    return model
 
 
 def gaussian_profile(theta_deg: float, model: GaussianProfileModel) -> np.ndarray:

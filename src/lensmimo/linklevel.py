@@ -16,25 +16,22 @@ import os
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .channel import (UserConfig, apply_lens, correlation_matrix, draw_channel,
                       matrix_sqrt)
 from .errors import ConfigError, DomainError, LensMimoError
-from .feedback import (GaussianProfileModel, Shaping, fit_gaussian_model,
-                       gaussian_profile, random_codebook, select_codeword)
-from .waveoptics import (SECTOR_DEG, ArraySpec, LensSpec, PropagationGrid,
-                         antenna_power_profile)
+from .feedback import (Shaping, fit_gaussian_model, gaussian_profile, random_codebook,
+                       select_codeword)
+from .waveoptics import SECTOR_DEG, ArraySpec, LensSpec, PropagationGrid, antenna_power_profile
 
 COND_LIMIT = 1e12
 GRAM_SCREEN = 1e4 ** 2   # ZF by Gram matrix up to cond(H) = 1e4, erring ~cond(H)^2 u
 BLOCK_MATRICES = 32    # (K, M) matrices precoded at once: ~1 MB at K = 4, M = 64
 # the largest array a scenario may make the kernel allocate: 2^24 floats, 128 MB
 MAX_BUFFER_VALUES = 2 ** 24
-# angles the Gaussian spot model is fitted at: five-degree steps across the sector
-GAUSSIAN_ANCHORS_DEG = np.arange(-SECTOR_DEG, SECTOR_DEG + 1e-9, 5.0)
 
 PRECODER_TOKENS = ("zf", "mrt")
 
@@ -92,8 +89,13 @@ class ScenarioConfig:
             raise ConfigError("bits must be between 1 and 16")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if (self.name in ("", ".", "..") or not self.name.isprintable()
-                or os.path.basename(self.name) != self.name):
+        try:
+            os.fsencode(self.name)    # the name goes into every output file name
+            plain = (self.name not in ("", ".", "..") and self.name.isprintable()
+                     and os.path.basename(self.name) == self.name)
+        except UnicodeEncodeError:
+            plain = False
+        if not plain:
             raise ConfigError(f"scenario name {self.name!r} is not a plain file name")
         for snr in self.snr_db:
             try:
@@ -110,12 +112,14 @@ class ScenarioConfig:
                     f"[-{SECTOR_DEG:g}, {SECTOR_DEG:g}] deg sector")
         parsed = [parse_quantizer(q) for q in self.quantizers]
         for label, tokens, keys in (("precoder", self.precoders, self.precoders),
-                                    ("quantizer", self.quantizers, parsed)):
+                                    ("quantizer", self.quantizers, parsed),
+                                    ("snr point", self.snr_db, self.snr_db)):
             if not tokens:
                 raise ConfigError(f"{label} list is empty")
             for i, key in enumerate(keys):
                 if (j := keys.index(key)) < i:
-                    also = "" if tokens[j] == tokens[i] else f" (also as '{tokens[j]}')"
+                    also = (f" (also as '{tokens[j]}')"
+                            if str(tokens[j]) != str(tokens[i]) else "")
                     raise ConfigError(f"{label} '{tokens[i]}' is listed more than once{also}")
         for p in self.precoders:
             if p not in PRECODER_TOKENS:
@@ -125,8 +129,6 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"quantizer '{q}' needs the lens enabled (it carries the "
                     "lens power profile)")
-        if not self.snr_db:
-            raise ConfigError("snr grid is empty")
         m, cells = self.array.num_antennas, self.trials * len(self.snr_db)
         for what, size in (
                 (f"the sum rates ({cells} cells x {len(self.precoders)} precoders x "
@@ -252,26 +254,6 @@ class ScenarioProfiles:
     codebook: dict[str, np.ndarray]            # quantizer token -> (K, M)
 
 
-def fit_sector_model(profile_at: Callable[[float], np.ndarray], lens: LensSpec,
-                     array: ArraySpec, angles_deg: Sequence[float] | None = None
-                     ) -> GaussianProfileModel:
-    """Fit the Gaussian spot model to profile_at(angle) at the sector anchors.
-
-    Given angles, only the anchors PCHIP reads there are fitted: anchors
-    i-1..i+2 around each angle's interval [x_i, x_i+1], clipped to the
-    sector, which give the whole-sector model's values there exactly.
-    """
-    anchors = GAUSSIAN_ANCHORS_DEG
-    if angles_deg is not None:
-        n = anchors.size
-        i = np.clip(np.searchsorted(anchors, angles_deg, side="right") - 1, 0, n - 2)
-        keep = np.zeros(n, dtype=bool)
-        keep[np.clip(np.add.outer(i, np.arange(-1, 3)), 0, n - 1)] = True
-        anchors = anchors[keep]
-    return fit_gaussian_model({float(a): profile_at(float(a)) for a in anchors},
-                              lens, array)
-
-
 def build_scenario_profiles(cfg: ScenarioConfig,
                             profile_at: Callable[[float], np.ndarray] | None = None
                             ) -> ScenarioProfiles:
@@ -289,7 +271,6 @@ def build_scenario_profiles(cfg: ScenarioConfig,
         profile_at = propagated
     exact = np.stack([profile_at(u.angle_deg) for u in cfg.users])
     codebook: dict[str, np.ndarray] = {}
-    model = None
     for token in cfg.quantizers:
         kind, source, stride = parse_quantizer(token)
         if kind != "mvcq":
@@ -297,9 +278,8 @@ def build_scenario_profiles(cfg: ScenarioConfig,
         if source == "bpm":
             codebook[token] = exact
         elif source == "gaussian":
-            if model is None:
-                model = fit_sector_model(profile_at, lens, array,
-                                         [u.angle_deg for u in cfg.users])
+            model = fit_gaussian_model(profile_at, lens, array,
+                                       [u.angle_deg for u in cfg.users])
             codebook[token] = np.stack([
                 gaussian_profile(u.angle_deg, model) for u in cfg.users])
         else:

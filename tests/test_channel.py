@@ -134,6 +134,10 @@ def test_correlation_always_hermitian_psd_unit_diag(theta, sigma, m):
 
 def test_sqrt_identity():
     assert np.allclose(matrix_sqrt(np.eye(5)), np.eye(5))
+    # the zero matrix is its own root, in its own dtype and with no -0.0
+    for zero in (np.zeros((3, 3)), np.zeros((3, 3), dtype=complex), np.zeros((1, 1))):
+        s = matrix_sqrt(zero)
+        assert s.dtype == zero.dtype and s.tobytes() == zero.tobytes()
 
 
 def test_sqrt_reconstruction():

@@ -223,6 +223,27 @@ def test_scenario_name_must_be_a_plain_file_name(tmp_path, capsys, name):
     assert list(parent.iterdir()) == []
 
 
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the C locale gives an ASCII file-system encoding on Linux")
+def test_scenario_name_the_file_system_cannot_encode(tmp_path):
+    """Under the C locale, with UTF-8 mode off, file names are ASCII, so a
+    name such as Größe exits 2 with no traceback and nothing written."""
+    p = _small_ini(tmp_path / "named.ini", {"scenario": {"name": "x"}})
+    p.write_bytes(p.read_bytes().replace(b"name = x", "name = Größe".encode()))
+    out = tmp_path / "out"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "lensmimo.cli", "simulate",
+         "--config", str(p), "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "is not a plain file name" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def _small_ini(path, edits):
     """A two-user, 16-antenna, two-trial scenario file with edits applied."""
     sections = {"users": {"angles": "-10, 10"}, "array": {"num_antennas": "16"},
@@ -287,6 +308,8 @@ def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
     ({"scenario": {"quantizers": "rvq, mvcq:sub_bpm:10:junk"}}, (), EXIT_CONFIG),
     ({"scenario": {"quantizers": ""}}, (), EXIT_CONFIG),
     ({"scenario": {"precoders": ""}}, (), EXIT_CONFIG),
+    ({"simulation": {"snr_db": "10, 10"}}, (), EXIT_CONFIG),
+    ({"simulation": {"snr_db": "0, -0"}}, (), EXIT_CONFIG),
     ({}, ("--seed", "-1"), EXIT_CONFIG),
     ({"simulation": {"seed": "-1"}}, (), EXIT_CONFIG),
     # sigma^2 overflows, so the correlation diagonal is inf * 0 = nan
@@ -294,7 +317,8 @@ def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
      EXIT_DOMAIN),
 ], ids=["snr_overflow", "empty_grid", "bad_lens_while_off", "repeated_quantizer",
         "quantizer_respelled", "quantizer_extra_field", "empty_quantizers",
-        "empty_precoders", "negative_seed", "negative_seed_in_file", "nan_rates"])
+        "empty_precoders", "repeated_snr", "snr_signed_zero", "negative_seed",
+        "negative_seed_in_file", "nan_rates"])
 def test_rejected_input_writes_nothing(tmp_path, capsys, edits, extra, code):
     p = _small_ini(tmp_path / "rejected.ini", edits)
     out = tmp_path / "out"

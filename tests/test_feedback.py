@@ -347,7 +347,7 @@ def test_fit_recovers_exact_gaussian(lens, array):
     truth = {-10.0: (3.0, 1.5, 2.0), -5.0: (3.2, 0.8, 1.9), 0.0: (3.5, 0.0, 1.8),
              5.0: (3.2, -0.8, 1.9), 10.0: (3.0, -1.5, 2.0)}
     profiles = {ang: _gauss(y, *prm) for ang, prm in truth.items()}
-    model = fit_gaussian_model(profiles, lens, array)
+    model = fit_gaussian_model(profiles.__getitem__, lens, array, (-2.5, 2.5))
     for i, ang in enumerate(model.anchors_deg):
         p_ref, q_ref, r_ref = truth[float(ang)]
         assert model.p[i] == pytest.approx(p_ref, abs=1e-6)
@@ -378,13 +378,15 @@ def test_gaussian_jacobian_matches_central_differences(lens, array):
 
 
 def test_fit_requires_three_anchors(lens, array):
-    """PCHIP needs three anchors, so two are refused and three are fitted."""
+    """PCHIP needs three anchors, so an empty angle list, the one input that
+    leaves fewer, is refused, and an angle at the sector edge fits three."""
     y = np.linspace(-10, 10, array.num_antennas)
-    profiles = {a: _gauss(y, 3.0, 0.0, 2.0) for a in (-5.0, 0.0, 5.0)}
-    with pytest.raises(ConfigError, match="at least three"):
-        fit_gaussian_model({a: profiles[a] for a in (-5.0, 0.0)}, lens, array)
-    assert np.array_equal(fit_gaussian_model(profiles, lens, array).anchors_deg,
-                          [-5.0, 0.0, 5.0])
+    profiles = {a: _gauss(y, 3.0, 0.0, 2.0) for a in (20.0, 25.0, 30.0)}
+    with pytest.raises(ConfigError, match="at least one angle"):
+        fit_gaussian_model(profiles.__getitem__, lens, array, [])
+    assert np.array_equal(
+        fit_gaussian_model(profiles.__getitem__, lens, array, [30.0]).anchors_deg,
+        [20.0, 25.0, 30.0])
 
 
 def test_fit_on_propagated_profiles(lens, grid, array, profile_set):
@@ -393,7 +395,7 @@ def test_fit_on_propagated_profiles(lens, grid, array, profile_set):
     profiles = {a: (profile_set[a] if a in profile_set
                     else antenna_power_profile(lens, grid, array, a))
                 for a in angles}
-    model = fit_gaussian_model(profiles, lens, array)
+    model = fit_gaussian_model(profiles.__getitem__, lens, array, (-7.5, 7.5))
     assert not model.poor_fit.any()
     q = dict(zip(model.anchors_deg, model.q))
     assert abs(q[0.0]) < 0.5
@@ -411,7 +413,7 @@ def test_fit_tracks_ray_optics_at_longer_standoff(lens, grid):
     far = ArraySpec(lens_distance=ell)
     angles = (-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
     profiles = {a: antenna_power_profile(lens, grid, far, a) for a in angles}
-    model = fit_gaussian_model(profiles, lens, far)
+    model = fit_gaussian_model(profiles.__getitem__, lens, far, (-7.5, 7.5))
     assert not model.poor_fit.any()
     p = dict(zip(model.anchors_deg, model.p))
     q = dict(zip(model.anchors_deg, model.q))
@@ -432,7 +434,7 @@ def test_fit_flags_poor_profiles(lens, array):
     # a two-blob profile no single Gaussian can follow
     good[0.0] = _gauss(y, 3.0, -5.0, 1.0) + _gauss(y, 3.0, 5.0, 1.0)
     with pytest.warns(UserWarning, match="poor"):
-        model = fit_gaussian_model(good, lens, array)
+        model = fit_gaussian_model(good.__getitem__, lens, array, (-2.5, 2.5))
     assert model.poor_fit[list(model.anchors_deg).index(0.0)]
 
 
@@ -457,7 +459,7 @@ def test_spot_fit_matches_scipy_curve_fit(grid, array, focal, monkeypatch):
     lens = LensSpec(focal_length=focal)
     profiles = {a: antenna_power_profile(lens, grid, array, a)
                 for a in np.arange(-30.0, 31.0, 5.0)}
-    model = fit_gaussian_model(profiles, lens, array)
+    model = fit_gaussian_model(profiles.__getitem__, lens, array)
     y = feedback.antenna_coordinates(lens, array)
     assert len(calls) == 13
     for i, (ang, (x0, lb, ub, (x, nfev))) in enumerate(zip(model.anchors_deg, calls)):
@@ -518,7 +520,7 @@ def test_fit_that_runs_out_of_evaluations_is_a_domain_error(lens, array, monkeyp
     y = feedback.antenna_coordinates(lens, array)
     profiles = {a: _gauss(y, 3.0, -0.2 * a, 2.0) + 0.1 for a in (-10.0, -5.0, 0.0, 5.0, 10.0)}
     with pytest.raises(DomainError, match="gaussian fit failed at -10.0 deg"):
-        fit_gaussian_model(profiles, lens, array)
+        fit_gaussian_model(profiles.__getitem__, lens, array, (-2.5, 2.5))
 
 
 @pytest.mark.parametrize("level", [0.0, np.nan])
@@ -527,7 +529,7 @@ def test_fit_refuses_a_profile_without_power(lens, array, level):
     profiles = {a: _gauss(y, 3.0, 0.0, 2.0) for a in (-10.0, -5.0, 5.0, 10.0)}
     profiles[0.0] = np.full(array.num_antennas, level)
     with pytest.raises(DomainError, match="at 0.0 deg carries no power"):
-        fit_gaussian_model(profiles, lens, array)
+        fit_gaussian_model(profiles.__getitem__, lens, array, (-2.5, 2.5))
 
 
 def test_gaussian_profile_normalized_and_guarded(lens, grid, array, profile_set):
@@ -535,7 +537,7 @@ def test_gaussian_profile_normalized_and_guarded(lens, grid, array, profile_set)
     profiles = {a: (profile_set[a] if a in profile_set
                     else antenna_power_profile(lens, grid, array, a))
                 for a in angles}
-    model = fit_gaussian_model(profiles, lens, array)
+    model = fit_gaussian_model(profiles.__getitem__, lens, array, (-7.5, 7.5))
     a7 = gaussian_profile(7.0, model)
     assert a7.sum() == pytest.approx(array.num_antennas, abs=1e-9)
     assert np.all(a7 >= 0.0)

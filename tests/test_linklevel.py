@@ -22,6 +22,7 @@ from lensmimo import (ArraySpec, ConfigError, DomainError, LensSpec, ScenarioCon
                       run_monte_carlo, select_codeword, sum_rate, zf_precoder)
 from lensmimo import linklevel
 from lensmimo.cli import main, parse_config
+from lensmimo.feedback import GAUSSIAN_ANCHORS_DEG, fit_gaussian_model
 from lensmimo.linklevel import ScenarioProfiles, build_scenario_profiles
 
 
@@ -828,12 +829,12 @@ def test_gaussian_profiles_need_only_the_stencil_anchors(focal, grid, array):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # poor edge fits are expected here
-        full = linklevel.fit_sector_model(profile_at, lens, array)
-    assert np.array_equal(full.anchors_deg, linklevel.GAUSSIAN_ANCHORS_DEG)
+        full = fit_gaussian_model(profile_at, lens, array)
+    assert np.array_equal(full.anchors_deg, GAUSSIAN_ANCHORS_DEG)
     rng = np.random.default_rng(int(focal))
     sets = [(0.0,), (-30.0,), (30.0,), (29.9,), (-27.5,), (-25.0, 25.0),
             (-30.0, 30.0), (-12.0, -7.0, 0.0, 5.0, 10.0),
-            tuple(linklevel.GAUSSIAN_ANCHORS_DEG)]
+            tuple(GAUSSIAN_ANCHORS_DEG)]
     sets += [tuple(rng.uniform(-30.0, 30.0, rng.integers(1, 6))) for _ in range(6)]
     for angles in sets:
         cfg = ScenarioConfig(users=tuple(UserConfig(a) for a in angles), trials=1,
@@ -855,7 +856,7 @@ def test_sector_model_fits_the_pchip_stencil_around_the_angles(lens, array):
               (-30.0,): [-30, -25, -20], (-2.5, 2.5): [-10, -5, 0, 5, 10],
               (-22.0, 22.0): [-30, -25, -20, -15, 15, 20, 25, 30]}
     for angles, anchors in fitted.items():
-        model = linklevel.fit_sector_model(spot, lens, array, angles)
+        model = fit_gaussian_model(spot, lens, array, angles)
         assert np.array_equal(model.anchors_deg, anchors), angles
 
 

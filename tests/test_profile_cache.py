@@ -7,7 +7,7 @@ import pytest
 
 from lensmimo import ConfigError, DomainError
 from lensmimo.cli import main
-from lensmimo.linklevel import GAUSSIAN_ANCHORS_DEG
+from lensmimo.feedback import GAUSSIAN_ANCHORS_DEG
 from lensmimo.profile_cache import (SWEEP_DEG, ProfileTable, build_profile_table,
                                     cache_params, params_digest,
                                     read_profile_table, write_profile_table,
