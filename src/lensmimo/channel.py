@@ -51,10 +51,8 @@ def correlation_matrix(user: UserConfig, m: int, spacing: float = 0.5) -> np.nda
     The overall PAS normalizer is dropped, which is exactly the unit-diagonal
     rescaling: per-antenna variance stays 1.
     """
-    if m < 1:
-        raise ConfigError("antenna count must be at least 1")
-    if spacing <= 0:
-        raise ConfigError("antenna spacing must be positive")
+    if m < 1 or not 0 < KAPPA * spacing * max(m - 1, 1) < np.inf:   # widest phase step
+        raise ConfigError(f"need M >= 1 and a finite, positive phase step; got {m}, {spacing}")
     theta = np.deg2rad(user.angle_deg)
     sigma = np.deg2rad(user.sigma_deg)
     delta = np.arange(m)[:, None] - np.arange(m)[None, :]

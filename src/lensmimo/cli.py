@@ -32,8 +32,7 @@ MAX_FIELD_VALUES = 2 ** 23
 
 
 def _token_list(raw: str) -> tuple[str, ...]:
-    toks = [t.strip() for t in raw.replace(";", ",").split(",")]
-    return tuple(t for t in toks if t)
+    return tuple(t for t in map(str.strip, raw.split(",")) if t)
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -41,12 +40,10 @@ def _float_list(raw: str) -> tuple[float, ...]:
 
 
 def _on_off(raw: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("on", "true", "yes", "1"):
-        return True
-    if val in ("off", "false", "no", "0"):
-        return False
-    raise ValueError(f"expected on/off, got '{raw}'")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected on/off, got '{raw}'") from None
 
 
 _SCHEMA = {
@@ -70,7 +67,9 @@ def parse_config(path: str, require_users: bool = True) -> ScenarioConfig:
     and the [simulation] and [scenario] keys those of ScenarioConfig (with
     [scenario] lens for lens_enabled), so each default lives in its class.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal, and "" names no header: [DEFAULT] is an unknown section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -142,9 +141,9 @@ def cmd_bpm_field(args: argparse.Namespace) -> int:
     """Propagate one incidence angle and dump the intensity history."""
     cfg = parse_config(args.config, require_users=False)
     lens, grid, array = cfg.lens, cfg.grid, cfg.array
-    steps = args.steps
-    if steps is None:
-        steps = np.ceil(1.5 * lens.focal_length / grid.dz)
+    # a Python float: an oversized count makes the product below inf, not a NumPy overflow
+    steps = (float(np.ceil(1.5 * lens.focal_length / grid.dz)) if args.steps is None
+             else args.steps)
     if not (steps + 1) * grid.num_samples <= MAX_FIELD_VALUES:
         raise ConfigError(f"{steps:.3g} steps of {grid.num_samples} samples exceed "
                           f"the field history limit of {MAX_FIELD_VALUES} values")

@@ -113,7 +113,7 @@ def write_tables(tables: Iterable[tuple]) -> None:
     try:
         for path, header, columns, rows in tables:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            with open(f"{path}.tmp", "w") as fh:
+            with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
                 made.append(path)
                 for key, value in header:
                     fh.write(f"# {key} = {_checked([f'{value}'], path)[0]}\n")
@@ -145,7 +145,7 @@ def read_profile_table(path, expected_params: dict | None = None) -> ProfileTabl
     stored_hash = None
     rows = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("aod_deg"):

@@ -147,10 +147,12 @@ def fresnel_transfer(grid: PropagationGrid, dz: float | np.ndarray) -> np.ndarra
     be an array of distances (a column gives one transfer row per distance).
     """
     dz = np.asarray(dz, dtype=float)
-    if not np.all(dz > 0):
-        raise ConfigError("propagation distance must be positive")
     fx = grid.fx()
-    return np.exp(1j * KAPPA * dz) * np.exp(-1j * np.pi * dz * fx * fx)
+    with np.errstate(over="ignore", invalid="ignore"):    # a phase past the float range
+        transfer = np.exp(1j * KAPPA * dz) * np.exp(-1j * np.pi * dz * fx * fx)
+    if not (np.all(dz > 0) and np.isfinite(transfer).all()):
+        raise ConfigError("propagation distance must be positive, with a finite phase")
+    return transfer
 
 
 @functools.lru_cache(maxsize=4)
@@ -176,7 +178,8 @@ def propagate(u0: np.ndarray, grid: PropagationGrid, steps: int,
         raise ConfigError("propagate needs at least one step")
     if dz is None:
         dz = grid.dz
-    zs = dz * np.arange(steps + 1)
+    with np.errstate(over="ignore"):    # an inf plane fails fresnel_transfer's check
+        zs = dz * np.arange(steps + 1)
     fields = np.empty((steps + 1, grid.num_samples), dtype=complex)
     fields[0] = u0
     fields[1:] = np.fft.ifft(np.fft.fft(u0) * (_one_plane_transfer(grid, dz) if steps == 1

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensmimo import linklevel, profile_cache
+from lensmimo import cli, linklevel, profile_cache
 from lensmimo.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main,
                           parse_config)
 from lensmimo.linklevel import SimResult
@@ -227,21 +227,25 @@ def test_scenario_name_must_be_a_plain_file_name(tmp_path, capsys, name):
                     reason="the C locale gives an ASCII file-system encoding on Linux")
 def test_scenario_name_the_file_system_cannot_encode(tmp_path):
     """Under the C locale, with UTF-8 mode off, file names are ASCII, so a
-    name such as Größe exits 2 with no traceback and nothing written."""
-    p = _small_ini(tmp_path / "named.ini", {"scenario": {"name": "x"}})
-    p.write_bytes(p.read_bytes().replace(b"name = x", "name = Größe".encode()))
-    out = tmp_path / "out"
+    name such as Größe exits 2 with no traceback and nothing written, whether
+    [scenario] name sets it or it is taken from the file name (which reaches
+    the name check as surrogate escapes)."""
+    named = _small_ini(tmp_path / "named.ini", {"scenario": {"name": "x"}})
+    named.write_bytes(named.read_bytes().replace(b"name = x", "name = Größe".encode()))
+    unnamed = _small_ini(tmp_path / "Größe.ini", {})
     env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [sys.executable, "-X", "utf8=0", "-m", "lensmimo.cli", "simulate",
-         "--config", str(p), "--out-dir", str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == EXIT_CONFIG, proc.stderr
-    assert "is not a plain file name" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not out.exists()
+    for p in (named, unnamed):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "lensmimo.cli", "simulate",
+             "--config", str(p), "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "is not a plain file name" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 def _small_ini(path, edits):
@@ -279,10 +283,15 @@ def test_exit_code_for_non_finite_user(tmp_path, capsys, users):
     ("fit-gaussian", ("lens", "focal_length", "1e-307"), ()),
     ("simulate", ("lens", "focal_length", "1e-307"), ()),
     ("lens-profile", ("lens", "focal_length", "1e-310"), ()),
+    # a phase past the float range: across the array, to its plane, to the last plane
+    ("simulate", ("array", "spacing", "1e308"), ()),
+    ("lens-profile", ("array", "lens_distance", "1e308"), ()),
+    ("bpm-field", ("grid", "dz", "1e308"), ("--steps", "4")),
 ], ids=["focal_length", "dz", "lens_distance", "snr_db", "spacing", "aod",
         "tiny_focal_length_lens_profile", "tiny_focal_length_bpm_field",
         "tiny_focal_length_fit_gaussian", "tiny_focal_length_simulate",
-        "subnormal_focal_length"])
+        "subnormal_focal_length", "huge_spacing", "huge_lens_distance",
+        "huge_dz_history"])
 @pytest.mark.filterwarnings("error")
 def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
                                           extra):
@@ -310,6 +319,9 @@ def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
     ({"scenario": {"precoders": ""}}, (), EXIT_CONFIG),
     ({"simulation": {"snr_db": "10, 10"}}, (), EXIT_CONFIG),
     ({"simulation": {"snr_db": "0, -0"}}, (), EXIT_CONFIG),
+    # ',' alone separates list items, and ';' only starts a comment after whitespace
+    ({"scenario": {"precoders": "zf;mrt"}}, (), EXIT_CONFIG),
+    ({"simulation": {"snr_db": "0;10"}}, (), EXIT_CONFIG),
     ({}, ("--seed", "-1"), EXIT_CONFIG),
     ({"simulation": {"seed": "-1"}}, (), EXIT_CONFIG),
     # sigma^2 overflows, so the correlation diagonal is inf * 0 = nan
@@ -317,7 +329,8 @@ def test_exit_code_for_non_finite_setting(tmp_path, capsys, command, setting,
      EXIT_DOMAIN),
 ], ids=["snr_overflow", "empty_grid", "bad_lens_while_off", "repeated_quantizer",
         "quantizer_respelled", "quantizer_extra_field", "empty_quantizers",
-        "empty_precoders", "repeated_snr", "snr_signed_zero", "negative_seed",
+        "empty_precoders", "repeated_snr", "snr_signed_zero", "semicolon_precoders",
+        "semicolon_snr", "negative_seed",
         "negative_seed_in_file", "nan_rates"])
 def test_rejected_input_writes_nothing(tmp_path, capsys, edits, extra, code):
     p = _small_ini(tmp_path / "rejected.ini", edits)
@@ -327,6 +340,38 @@ def test_rejected_input_writes_nothing(tmp_path, capsys, edits, extra, code):
     assert ("configuration error" if code == EXIT_CONFIG else "numerical error") \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("lens-profile", "[DEFAULT]\nfocal_length = 30\n"),
+    ("fit-gaussian", "[DEFAULT]\nfocal_length = 30\n"),
+    ("fit-gaussian", "[DEFAULT]\nfocal_length = 30\n[lens]\naperture = 20\n"),
+    ("simulate", "[DEFAULT]\ntrials = 3\n[users]\nangles = 0\n"),
+], ids=["lens_profile", "fit_gaussian", "fit_gaussian_with_lens", "simulate"])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, command, text):
+    """[DEFAULT] is no section the others inherit from: it is refused by name
+    like any unknown section, and nothing is written."""
+    p = tmp_path / "default.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["50%", "%(x)s", "a%%b", "%(precoders)s"])
+def test_percent_is_a_literal_character(tmp_path, name):
+    """A scenario value is read literally: no % interpolation, so each name
+    names its files and heads its CSVs as written."""
+    p = _small_ini(tmp_path / "percent.ini",
+                   {"scenario": {"name": name, "precoders": "zf"}})
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(p), "--out-dir", str(out)]) == EXIT_OK
+    assert sorted(f.name for f in out.iterdir()) == [f"{name}_comparison.csv",
+                                                     f"{name}_zf_mvcq.csv"]
+    text = (out / f"{name}_comparison.csv").read_text(encoding="utf-8")
+    assert f"# scenario = {name}\n" in text
 
 
 @pytest.mark.filterwarnings("error")
@@ -372,7 +417,10 @@ def test_extreme_snr_fails_at_its_first_cell(tmp_path, capsys):
     ("lens-profile", "grid", "window", "1e200"),
     ("bpm-field", "grid", "dz", "1e-300"),
     ("lens-profile", "grid", "dz", "1e-320"),
-], ids=["dx", "window", "bpm_dz", "profile_dz"])
+    # the default step count, 1.5 f / dz = 1.5e308, times the samples is inf
+    ("bpm-field", "lens", "focal_length", "1e308"),
+], ids=["dx", "window", "bpm_dz", "profile_dz", "bpm_default_steps"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_allocation_size_inputs_exit_config(tmp_path, capsys, command, section,
                                             key, value):
     """Grids too large for numpy to allocate, or axial steps too fine to
@@ -768,7 +816,7 @@ def _run_clean(argv, root, out):
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)
     assert not list(pathlib.Path(root).rglob("*.tmp"))
     for f in pathlib.Path(out).glob("*"):
-        assert not re.search(r"\b(nan|inf)\b", f.read_text()), f
+        assert not re.search(r"\b(nan|inf)\b", f.read_text(encoding="utf-8")), f
     return rc
 
 
@@ -900,6 +948,137 @@ def _simulate_on_cache(ini_dir, name, blob):
         return _run_clean(["simulate", "--config", str(ini_dir / "small.ini"),
                            "--cache-dir", str(cache), "--out-dir", str(out),
                            "--no-build"], d, out)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed scenario grammar: each key's boundary values under each syntax
+
+_REALS = ["-0", "inf", "-inf", "nan", "1e308", "-1e308", "1e-308", "5e-324",
+          "1_0", "+5", "٣"]
+_INTS = ["0", "-1", "+2", "02", "0_2", "٢", "2.0", ""]
+
+
+def _reals(*usual):
+    return st.sampled_from([*usual, *_REALS])
+
+
+def _ints(*usual):
+    return st.sampled_from([*usual, *_INTS])
+
+
+def _items(*tokens):
+    """Lists of tokens: empty, repeated and in any order."""
+    return st.lists(st.sampled_from(tokens), max_size=3).map(", ".join)
+
+
+# one strategy per cli._SCHEMA key; trials stay at most 2 and M at most 16
+_VALUES = {
+    ("scenario", "name"): st.sampled_from(
+        ["unit", "", ".", "a/b", "%", "50%", "%(x)s", "%(precoders)s", "a%%b",
+         "Größe", "名前", "a b", "x;y", "x#y"]),
+    ("scenario", "precoders"): _items("zf", "mrt", "ZF", "%(x)s"),
+    ("scenario", "quantizers"): _items(
+        "mvcq", "rvq", "full", "rvq_corr", "mvcq:bpm", "mvcq:gaussian",
+        "mvcq:sub_bpm:5", "mvcq:sub_bpm:05", "mvcq:sub_bpm:٥"),
+    ("scenario", "lens"): st.sampled_from(["on", "off", "Yes", "0", "TRUE", "maybe", ""]),
+    ("array", "num_antennas"): _ints("16", "4"),
+    ("array", "spacing"): _reals("0.5", "0.25"),
+    ("array", "lens_distance"): _reals("25", "20"),
+    ("lens", "focal_length"): _reals("40", "30"),
+    ("lens", "aperture"): _reals("20", "16"),
+    ("grid", "dx"): _reals("0.25", "0.125"),
+    ("grid", "dz"): _reals("1", "0.5"),
+    ("grid", "window"): _reals("80", "64"),
+    ("users", "angles"): _items("-10", "10", "0", "-0", "30", "-30.5", "nan", "inf",
+                                "5e-324", "1_0", "+5", "٣"),
+    ("users", "sigma"): _items("5", "0", "-0", "1e200", "inf", "nan", "1e-308",
+                               "5e-324", "1_0", "+5"),
+    ("simulation", "bits"): _ints("3", "1", "17"),
+    ("simulation", "snr_db"): _items("0", "10", "-0", "3080", "inf", "nan", "1e308",
+                                     "-1e308", "5e-324", "1_0", "+5", "٣"),
+    ("simulation", "trials"): _ints("1", "2"),
+    ("simulation", "seed"): _ints("99", "18446744073709551616", "1.5"),
+}
+
+# how a value is written -> (text after '=', the literal the README's grammar
+# reads from it); None puts the key in a [DEFAULT] block, which is refused
+_SYNTAX = {
+    "plain": lambda v: (v, v),
+    "spaced_semicolon": lambda v: (f"{v} ; note", v),
+    "spaced_hash": lambda v: (f"{v}  # note", v),
+    "tight_semicolon": lambda v: (f"{v};{v}", f"{v};{v}"),
+    "tight_hash": lambda v: (f"{v}#1", f"{v}#1"),
+    "percent": lambda v: (f"{v}%", f"{v}%"),
+    "interpolation": lambda v: (f"%(precoders)s{v}", f"%(precoders)s{v}"),
+    "continuation": lambda v: (f"{v}\n    1", f"{v}\n1"),
+    "default_section": None,
+}
+
+# the comparison header's line for each key (others use the key's own name)
+_HEADER_KEY = {"name": "scenario", "lens": "lens_enabled", "angles": "user_angles_deg",
+               "sigma": "sigma_deg", "dx": "grid_dx", "dz": "grid_dz"}
+
+
+def _echo(value):
+    """value as ScenarioConfig.flat_items writes it."""
+    if isinstance(value, tuple):
+        return ";".join(map(_echo, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("section, key", list(_VALUES),
+                         ids=[f"{sec}.{key}" for sec, key in _VALUES])
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scenario_grammar_keeps_the_exit_code_contract(section, key, data):
+    """One key of a small two-user scenario drawn from its boundary values and
+    written in one syntax runs simulate (and, for an optics key or the name,
+    every optics command) under the exit-code contract. A non-zero exit writes
+    nothing; on exit 0 the comparison header echoes the value that the key's
+    parser reads from the literal text, so no value is silently rewritten."""
+    value = data.draw(_VALUES[section, key], label="value")
+    syntax = data.draw(st.sampled_from(list(_SYNTAX)), label="syntax")
+    sections = {"scenario": {"name": "unit", "precoders": "zf"},
+                "users": {"angles": "-10, 10"}, "array": {"num_antennas": "16"},
+                "grid": {"dx": "0.25"},
+                "simulation": {"bits": "3", "snr_db": "0", "trials": "2"}}
+    literal = None
+    if _SYNTAX[syntax] is None:
+        sections.get(section, {}).pop(key, None)
+        sections = {"DEFAULT": {key: value}, **sections}
+    else:
+        text, literal = _SYNTAX[syntax](value)
+        sections.setdefault(section, {})[key] = text
+    # no space before the value, so a leading '#' or ';' is no comment
+    ini_text = "".join(f"[{sec}]\n" + "".join(f"{k}={v}\n" for k, v in kv.items())
+                       for sec, kv in sections.items())
+    try:
+        expected = None if literal is None else cli._SCHEMA[section][key](literal)
+    except ValueError:
+        expected = None
+    commands = [["simulate"]]
+    if section in ("lens", "array", "grid") or key == "name":
+        commands += [["lens-profile"], ["fit-gaussian"], ["bpm-field", "--steps", "4"]]
+    with tempfile.TemporaryDirectory() as d:
+        ini = pathlib.Path(d, "fuzz.ini")
+        ini.write_text(ini_text, encoding="utf-8")
+        for command in commands:
+            out = pathlib.Path(d, command[0])
+            rc = _run_clean([*command, "--config", str(ini), "--out-dir", str(out)],
+                            d, out)
+            if rc != EXIT_OK:
+                assert not out.exists(), command
+                continue
+            assert expected is not None, command
+            if command[0] == "simulate":
+                if key == "sigma" and len(expected) == 1:
+                    expected *= 2        # a scalar spread for both users
+                [table] = out.glob("*_comparison.csv")
+                header = dict(line[2:].partition(" = ")[::2] for line in
+                              table.read_text(encoding="utf-8").splitlines()
+                              if line.startswith("# "))
+                assert header[_HEADER_KEY.get(key, key)] == _echo(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,14 +1263,17 @@ print(json.dumps([main([*argv, "--out-dir", out]) for argv in (
 def test_no_command_loads_scipy(ini_dir, tmp_path):
     """A fresh process in which SciPy cannot be imported runs every command:
     lens-profile, bpm-field, simulate from the cache, fit-gaussian, and a
-    simulate whose profiles come from the fitted spot model."""
+    simulate whose profiles come from the fitted spot model. Every file is
+    opened as UTF-8, so no open falls back to the locale's encoding (an
+    EncodingWarning, an error in this process)."""
     gaussian = _small_ini(tmp_path / "gaussian.ini",
                           {"scenario": {"quantizers": "mvcq:gaussian"}})
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(ini_dir / "small.ini"), str(gaussian),
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", COLD_START, str(ini_dir / "small.ini"), str(gaussian),
          str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
