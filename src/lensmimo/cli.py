@@ -202,12 +202,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     tags = {(p, q): f"{p}_{q.replace(':', '_')}"
             for p in cfg.precoders for q in cfg.quantizers}
-    trials = [str(cfg.trials)] * len(result.snr_db)
     tables = [(os.path.join(args.out_dir, f"{cfg.name}_{tag}.csv"),
                [*cfg.flat_items(), ("precoder", prec), ("quantizer", quant)],
                ["snr_db", "mean_sum_rate", "stderr", "trials"],
                zip(result.snr_db, result.mean[(prec, quant)],
-                   result.stderr[(prec, quant)], trials))
+                   result.stderr[(prec, quant)], [cfg.trials] * len(result.snr_db)))
               for (prec, quant), tag in tags.items()]
     tables.append((os.path.join(args.out_dir, f"{cfg.name}_comparison.csv"),
                    cfg.flat_items(), ["snr_db", *tags.values()],
@@ -229,10 +228,9 @@ def cmd_fit_gaussian(args: argparse.Namespace) -> int:
     path = os.path.join(args.out_dir,
                         f"gaussian_fit_{profile_cache.params_digest(params)}.csv")
     profile_cache.write_tables([(
-        path, params.items(),
-        ["theta_deg", "p", "q", "r", "residual_rms", "poor_fit"],
+        path, params.items(), ["theta_deg", "p", "q", "r", "residual_rms", "poor_fit"],
         zip(model.anchors_deg, model.p, model.q, model.r, model.residual_rms,
-            map(str, model.poor_fit.tolist())))])
+            model.poor_fit))])
     print(f"wrote {path}")
     return EXIT_OK
 

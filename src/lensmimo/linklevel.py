@@ -152,20 +152,20 @@ class ScenarioConfig:
             ("scenario", self.name),
             ("num_antennas", array.num_antennas),
             ("num_users", self.num_users),
-            ("user_angles_deg", ";".join(repr(u.angle_deg) for u in self.users)),
-            ("sigma_deg", ";".join(repr(u.sigma_deg) for u in self.users)),
-            ("spacing", repr(array.spacing)),
+            ("user_angles_deg", tuple(u.angle_deg for u in self.users)),
+            ("sigma_deg", tuple(u.sigma_deg for u in self.users)),
+            ("spacing", array.spacing),
             ("bits", self.bits),
             ("lens_enabled", self.lens_enabled),
-            ("focal_length", repr(lens.focal_length)),
-            ("aperture", repr(lens.aperture)),
-            ("lens_distance", repr(array.lens_distance)),
-            ("grid_dx", repr(grid.dx)),
-            ("grid_dz", repr(grid.dz)),
-            ("window", repr(grid.window)),
-            ("precoders", ";".join(self.precoders)),
-            ("quantizers", ";".join(self.quantizers)),
-            ("snr_db", ";".join(repr(s) for s in self.snr_db)),
+            ("focal_length", lens.focal_length),
+            ("aperture", lens.aperture),
+            ("lens_distance", array.lens_distance),
+            ("grid_dx", grid.dx),
+            ("grid_dz", grid.dz),
+            ("window", grid.window),
+            ("precoders", self.precoders),
+            ("quantizers", self.quantizers),
+            ("snr_db", self.snr_db),
             ("trials", self.trials),
             ("seed", self.seed),
         ]

@@ -88,26 +88,27 @@ def build_profile_table(lens: LensSpec, grid: PropagationGrid,
                         params=cache_params(lens, grid, array))
 
 
-# the reprs of the non-finite floats; no written value may read as one
-_NON_FINITE = frozenset(map(repr, (math.nan, math.inf, -math.inf)))
-
-
-def _checked(cells: list[str], path: str) -> list[str]:
-    if not _NON_FINITE.isdisjoint(cells):
+def _text(value, path) -> str:
+    """value as written: a float (NumPy's too) as repr, refused unless finite, a
+    tuple as its items joined with ';', and text or any other value as str()."""
+    if isinstance(value, tuple):
+        return ";".join(_text(v, path) for v in value)
+    if not isinstance(value, (float, np.floating)):
+        return str(value)
+    if not math.isfinite(value):
         raise DomainError(f"refusing to write a non-finite value to {path}")
-    return cells
+    return repr(float(value))
 
 
 def write_tables(tables: Iterable[tuple]) -> None:
     """Write every (path, header, columns, rows) table in tables as one set.
 
     A table is `# key = value` header lines, the column line and the rows,
-    string cells as given and other cells as repr(float). Each streams into
-    a temporary file beside its path (parent directories are made), and the
-    files replace their paths only once all are complete. A failure before
-    then, a non-finite value included (DomainError), leaves every path as it
-    was and removes the temporary files made here; one while replacing can
-    still leave old and new files mixed.
+    each value written by `_text`. Each streams into a temporary file beside
+    its path (parent directories are made); the files replace their paths
+    only once all are complete. A failure before then (a non-finite number
+    is a DomainError) leaves every path as it was and removes the temporary
+    files made here; one while replacing can leave old and new files mixed.
     """
     made = []
     try:
@@ -116,12 +117,16 @@ def write_tables(tables: Iterable[tuple]) -> None:
             with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
                 made.append(path)
                 for key, value in header:
-                    fh.write(f"# {key} = {_checked([f'{value}'], path)[0]}\n")
+                    fh.write(f"# {key} = {_text(value, path)}\n")
                 if columns:
                     fh.write(",".join(columns) + "\n")
-                for row in rows:
-                    cells = [v if isinstance(v, str) else repr(float(v)) for v in row]
-                    fh.write(",".join(_checked(cells, path)) + "\n")
+                for row in map(tuple, rows):
+                    # _text inline for a float, whose repr has an 'n' only if non-finite
+                    line = ",".join([repr(v) if type(v) is float else _text(v, path)
+                                     for v in row])
+                    if "n" in line:      # a text cell or a non-finite float
+                        line = ",".join([_text(v, path) for v in row])
+                    fh.write(line + "\n")
         for path in made:
             os.replace(f"{path}.tmp", path)
     except BaseException:
@@ -151,9 +156,7 @@ def read_profile_table(path, expected_params: dict | None = None) -> ProfileTabl
                 if not line or line.startswith("aod_deg"):
                     continue
                 if line.startswith("#"):
-                    key, _, val = line[1:].partition("=")
-                    key = key.strip()
-                    val = val.strip()
+                    key, _, val = map(str.strip, line[1:].partition("="))
                     if key == "hash":
                         stored_hash = val
                     else:
@@ -175,12 +178,11 @@ def read_profile_table(path, expected_params: dict | None = None) -> ProfileTabl
         raise ConfigError(
             f"profile cache {path} header hash does not match its parameters; "
             "rebuild the cache")
-    if expected_params is not None:
-        if params_digest(params) != params_digest(
-                {k: float(v) for k, v in expected_params.items()}):
-            raise ConfigError(
-                f"profile cache {path} was built for different parameters; "
-                "rebuild the cache")
+    if expected_params is not None and params_digest(params) != params_digest(
+            {k: float(v) for k, v in expected_params.items()}):
+        raise ConfigError(
+            f"profile cache {path} was built for different parameters; "
+            "rebuild the cache")
     data = values.reshape(len(rows), -1)
     table = ProfileTable(aods_deg=data[:, 0], profiles=data[:, 1:], params=params)
     if fault := table.fault():

@@ -359,10 +359,12 @@ def test_default_section_is_an_unknown_section(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["50%", "%(x)s", "a%%b", "%(precoders)s"])
+@pytest.mark.parametrize("name", ["50%", "%(x)s", "a%%b", "%(precoders)s",
+                                  "nan", "inf", "-inf"])
 def test_percent_is_a_literal_character(tmp_path, name):
     """A scenario value is read literally: no % interpolation, so each name
-    names its files and heads its CSVs as written."""
+    names its files and heads its CSVs as written; a name is text, so one
+    that reads as a non-finite number is no non-finite value."""
     p = _small_ini(tmp_path / "percent.ini",
                    {"scenario": {"name": name, "precoders": "zf"}})
     out = tmp_path / "out"
@@ -1020,7 +1022,7 @@ _HEADER_KEY = {"name": "scenario", "lens": "lens_enabled", "angles": "user_angle
 
 
 def _echo(value):
-    """value as ScenarioConfig.flat_items writes it."""
+    """value as write_tables writes a header value."""
     if isinstance(value, tuple):
         return ";".join(map(_echo, value))
     return repr(value) if isinstance(value, float) else str(value)
@@ -1079,6 +1081,56 @@ def test_fuzzed_scenario_grammar_keeps_the_exit_code_contract(section, key, data
                               table.read_text(encoding="utf-8").splitlines()
                               if line.startswith("# "))
                 assert header[_HEADER_KEY.get(key, key)] == _echo(expected)
+
+
+# the boundary values of each option a command takes besides --config and
+# --out-dir, passed as --option=value so a leading '-' is no option name
+_OPTION_VALUES = {
+    "--aod": ["0", "-0", "89.999", "-89.999", "90", "-90", "nan", "inf", "-inf",
+              "5e-324"],
+    "--steps": ["-1", "0", "1", "4", str(2 ** 23), str(10 ** 12)],
+    "--seed": ["-1", "0", str(2 ** 64)],
+}
+_OPTIONS = {"bpm-field": ("--aod", "--steps"), "simulate": ("--seed",)}
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_options_keep_the_exit_code_contract(command, data):
+    """Each option drawn from its boundary values, or left out, runs the
+    command on a small scenario (320 transverse samples) under the exit-code
+    contract. It exits 0 exactly when every value is in range: an angle in
+    (-90, 90), a history of 1 to 2^23 / 320 - 1 steps, a nonnegative seed;
+    otherwise 2, with nothing written. On exit 0 the header echoes each value."""
+    drawn = {opt: data.draw(st.sampled_from([None, *_OPTION_VALUES[opt]]), label=opt)
+             for opt in _OPTIONS[command]}
+    passed = {opt: v for opt, v in drawn.items() if v is not None}
+    aod, steps, seed = (float(passed.get("--aod", 0.0)), passed.get("--steps"),
+                        int(passed.get("--seed", 0)))
+    in_range = (-90.0 < aod < 90.0 and seed >= 0
+                and (steps is None or 1 <= int(steps) <= cli.MAX_FIELD_VALUES // 320 - 1))
+    with tempfile.TemporaryDirectory() as d:
+        ini = _small_ini(pathlib.Path(d, "fuzz.ini"),
+                         {"scenario": {"precoders": "zf"}, "grid": {"dx": "0.25"}})
+        out = pathlib.Path(d, "out")
+        rc = _run_clean([command, *(f"{opt}={v}" for opt, v in passed.items()),
+                         "--config", str(ini), "--out-dir", str(out)], d, out)
+        assert rc == (EXIT_OK if in_range else EXIT_CONFIG)
+        if rc != EXIT_OK:
+            assert not out.exists()
+            return
+        [table] = out.glob("field_*.csv" if command == "bpm-field" else "*_comparison.csv")
+        header = dict(line[2:].partition(" = ")[::2] for line in
+                      table.read_text(encoding="utf-8").splitlines()
+                      if line.startswith("# "))
+    if command == "bpm-field":
+        assert header["aod_deg"] == _echo(aod)
+        if steps is not None:
+            assert header["cols_axial"] == str(int(steps) + 1)
+    elif "--seed" in passed:
+        assert header["seed"] == str(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Round-trip and staleness checks for the swept-profile cache."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,17 @@ def test_round_trip_preserves_everything(tmp_path, table):
     assert np.array_equal(back.profiles, table.profiles)
     assert back.params == table.params
     assert params_digest(back.params) == params_digest(table.params)
-    with pytest.raises(DomainError, match="non-finite"):
-        write_tables([(tmp_path / "nan.csv", [("f", 40.0)], ["a"], [[1.0], [np.nan]])])
-    assert not list(tmp_path.glob("nan.csv*"))
+    # a non-finite number is refused wherever it sits, a float or NumPy's:
+    # a header scalar, an item of a tuple header value, or a row cell
+    for bad in (math.nan, -math.inf, np.float64(math.nan), np.float64(math.inf)):
+        for header, rows in (([("f", bad)], [[1.0]]), ([("snr_db", (0.0, bad))], [[1.0]]),
+                             ([("f", 40.0)], [[1.0], [bad]]), ([], [["nan", bad]])):
+            with pytest.raises(DomainError, match="non-finite"):
+                write_tables([(tmp_path / "nan.csv", header, ["a"], rows)])
+            assert not list(tmp_path.glob("nan.csv*"))
+    # text is written as given, whatever it reads as
+    write_tables([(tmp_path / "nan.csv", [("scenario", "nan")], ["a", "b"], [["inf", 1.0]])])
+    assert (tmp_path / "nan.csv").read_text() == "# scenario = nan\na,b\ninf,1.0\n"
 
 
 def test_rewrite_is_byte_identical(tmp_path, table):
